@@ -219,21 +219,17 @@ func BenchmarkWorkloadGen(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEnd measures full simulation throughput (references per
-// second through generator + engine + pager), the number that sizes every
-// experiment above.
+// BenchmarkEndToEnd measures full simulation throughput (nanoseconds per
+// reference through generator + engine + pager) on the path experiments
+// take: the machine's run loop, batched generation and Engine.AccessBatch.
 func BenchmarkEndToEnd(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.MemoryBytes = 6 << 20
 	m := NewMachine(cfg)
 	script := workload.NewScript(m, 1, SLC())
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, ok := script.Next()
-		if !ok {
-			b.Fatal("generator ran dry")
-		}
-		m.Engine.Access(rec)
+	if res := m.Run(script, int64(b.N)); res.Refs != int64(b.N) {
+		b.Fatalf("ran %d of %d references", res.Refs, b.N)
 	}
 }
 

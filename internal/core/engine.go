@@ -98,14 +98,15 @@ func (e *Engine) Access(r trace.Rec) {
 	}
 
 	e.Ctr.Inc(opEvent[r.Op])
+	// Every reference pays the probe, hit or miss: on a hit it is the
+	// whole access, the point of a virtual address cache — no
+	// translation, single-cycle access.
+	e.Cycles += uint64(e.TP.HitCycles)
 
 	if l, hit := e.Cache.Probe(b); hit {
 		if e.Inject != nil {
 			e.injectLineFaults(l)
 		}
-		// Cache hit: the whole point of a virtual address cache — no
-		// translation, single-cycle access.
-		e.Cycles += uint64(e.TP.HitCycles)
 		if r.Op == trace.OpWrite {
 			e.writeHit(l, r.Addr.Page(), b)
 		}
@@ -114,14 +115,62 @@ func (e *Engine) Access(r trace.Rec) {
 	e.miss(r.Op, b, r.Addr.Page())
 }
 
-// AccessBatch processes a buffer of references with one concrete call,
-// replacing the per-reference interface dispatch of Source.Next + Access.
-// The simulated outcome is identical to calling Access on each record in
-// order.
+// AccessBatch processes a buffer of references with one concrete call. The
+// simulated outcome is identical to calling Access on each record in order.
 func (e *Engine) AccessBatch(recs []trace.Rec) {
-	for i := range recs {
-		e.Access(recs[i])
+	var at int
+	e.AccessBatchAt(recs, &at)
+}
+
+// AccessBatchAt is AccessBatch reporting its progress through at: records
+// before recs[*at] have completed. On return *at is len(recs); if an access
+// panics, *at is the index of the record that panicked, so a caller that
+// recovers knows exactly where the batch stopped.
+//
+// With no fault injector armed, the issue counts and the probe cycles every
+// reference pays are tallied in locals and added to Ctr and Cycles once, as
+// the batch ends (a panic included). That is exact: both are sums nothing
+// reads mid-access, and the 32-bit hardware counters wrap modulo 2^32, so
+// one add of n equals n increments. An armed injector can fire between any
+// two references, so that case runs Access per record.
+func (e *Engine) AccessBatchAt(recs []trace.Rec, at *int) {
+	if e.Inject != nil {
+		for i := range recs {
+			*at = i
+			e.Access(recs[i])
+		}
+		*at = len(recs)
+		return
 	}
+	var issued [len(opEvent)]uint64 // by trace.Op
+	defer e.settleBatch(&issued)
+	for i := range recs {
+		*at = i
+		r := recs[i]
+		// Indexing by the op panics on an invalid one before anything is
+		// counted, as Access's opEvent lookup does.
+		issued[r.Op]++
+		b := r.Addr.Block()
+		if l, hit := e.Cache.Probe(b); hit {
+			if r.Op == trace.OpWrite {
+				e.writeHit(l, r.Addr.Page(), b)
+			}
+			continue
+		}
+		e.miss(r.Op, b, r.Addr.Page())
+	}
+	*at = len(recs)
+}
+
+// settleBatch adds a batch's tallied issues and probe cycles to the
+// counters and the cycle total.
+func (e *Engine) settleBatch(issued *[len(opEvent)]uint64) {
+	var n uint64
+	for op, k := range issued {
+		e.Ctr.Add(opEvent[op], k)
+		n += k
+	}
+	e.Cycles += n * uint64(e.TP.HitCycles)
 }
 
 // injectLineFaults applies planned soft errors to the line just probed: a
@@ -142,10 +191,10 @@ func (e *Engine) injectLineFaults(l cache.LineRef) {
 }
 
 // miss handles a cache miss: translate, fault if needed, apply the
-// reference-bit and (for writes) dirty-bit policy, and fill the block.
+// reference-bit and (for writes) dirty-bit policy, and fill the block. The
+// probe that missed is charged by the caller.
 func (e *Engine) miss(op trace.Op, b addr.BlockAddr, p addr.GVPN) {
 	e.Ctr.Inc(opMissEvent[op])
-	e.Cycles += uint64(e.TP.HitCycles) // the probe that missed
 
 	entry, xc, cached := e.X.TranslateCached(p)
 	e.Cycles += xc

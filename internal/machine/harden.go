@@ -136,104 +136,19 @@ func (f *RunFailure) WriteBundle(dir string) (string, error) {
 	}
 }
 
-// tailBuffer is a fixed-size ring of the most recent trace records. The
-// push is O(1): a full ring overwrites its oldest slot instead of shifting
-// the whole buffer, which at sweep scale (one push per reference) used to
-// cost a 1.5 KB memmove per reference — several percent of total CPU.
-type tailBuffer struct {
-	recs []trace.Rec
-	n    int
-	head int // index of the oldest record once the ring is full
-}
-
-func newTailBuffer(n int) *tailBuffer {
-	if n <= 0 {
-		n = defaultTraceTail
-	}
-	return &tailBuffer{recs: make([]trace.Rec, 0, n), n: n}
-}
-
-func (t *tailBuffer) push(r trace.Rec) {
-	if len(t.recs) < t.n {
-		t.recs = append(t.recs, r)
-		return
-	}
-	t.recs[t.head] = r
-	t.head++
-	if t.head == t.n {
-		t.head = 0
-	}
-}
-
-// snapshot returns the buffered records, oldest first.
-func (t *tailBuffer) snapshot() []trace.Rec {
-	out := make([]trace.Rec, len(t.recs))
-	k := copy(out, t.recs[t.head:])
-	copy(out[k:], t.recs[:t.head])
-	return out
-}
-
-// ContinuousAuditor invokes an audit function once every Every ticks. It is
-// the cadence mechanism behind RunOptions.AuditEvery, exported so drivers
-// that own their access loop (the multiprocessor examples, custom trace
-// replayers) can audit mid-run the same way.
-type ContinuousAuditor struct {
-	every int64
-	n     int64
-	audit func() error
-}
-
-// NewContinuousAuditor returns an auditor calling audit every 'every' ticks;
-// every <= 0 never audits.
-func NewContinuousAuditor(every int64, audit func() error) *ContinuousAuditor {
-	return &ContinuousAuditor{every: every, audit: audit}
-}
-
-// Tick advances the auditor one event and runs the audit when the cadence
-// comes due. A nil auditor never audits. The disabled check stays small
-// enough to inline so a disabled auditor costs its callers' per-reference
-// loops nothing but a branch.
-func (a *ContinuousAuditor) Tick() error {
-	if a == nil || a.every <= 0 {
-		return nil
-	}
-	return a.tick()
-}
-
-func (a *ContinuousAuditor) tick() error {
-	a.n++
-	if a.n%a.every != 0 {
-		return nil
-	}
-	return a.audit()
-}
-
-// Auditor returns a ContinuousAuditor over this machine's invariants.
-func (m *Machine) Auditor(every int64) *ContinuousAuditor {
-	return NewContinuousAuditor(every, func() error { return Audit(m) })
-}
-
-// Auditor returns a ContinuousAuditor over the multiprocessor's invariants
-// (per-cache audits plus the cross-cache coherence invariants).
-func (m *MP) Auditor(every int64) *ContinuousAuditor {
-	return NewContinuousAuditor(every, func() error { return AuditMP(m) })
-}
-
 // failure assembles a RunFailure for this machine and writes the bundle if
 // opts asks for one (a bundle-write error is reported in Reason rather than
 // masking the original failure).
-func (m *Machine) failure(kind FailureKind, reason string, stack string, tail *tailBuffer, opts RunOptions) *RunFailure {
+func (m *Machine) failure(kind FailureKind, reason string, stack string, tail []trace.Rec, opts RunOptions) *RunFailure {
 	f := &RunFailure{
 		Kind:       kind,
 		Reason:     reason,
 		Config:     m.Cfg,
 		Seed:       m.Cfg.Seed,
 		Refs:       m.refs,
+		Tail:       tail,
 		Injections: m.Inject.Log(),
 		Stack:      stack,
-	}
-	if tail != nil {
-		f.Tail = tail.snapshot()
 	}
 	if opts.ArtifactDir != "" {
 		if _, err := f.WriteBundle(opts.ArtifactDir); err != nil {
@@ -243,14 +158,37 @@ func (m *Machine) failure(kind FailureKind, reason string, stack string, tail *t
 	return f
 }
 
+// hooks runs the audit and the deadline check due at position i of the run
+// (the audit first when both fall there) and returns the failure either
+// reports.
+func (m *Machine) hooks(l *runLoop, i int64) *RunFailure {
+	if every := l.opts.AuditEvery; every > 0 && i%every == 0 {
+		if err := Audit(m); err != nil {
+			return m.failure(FailAudit, err.Error(), "", l.failureTail(), l.opts)
+		}
+	}
+	//spurlint:ignore determinism — wall clock only aborts the run; it cannot alter any simulated value
+	if !l.deadline.IsZero() && i%deadlineStride == 0 && time.Now().After(l.deadline) {
+		return m.failure(FailDeadline,
+			fmt.Sprintf("run exceeded its %v budget", l.opts.Deadline), "", l.failureTail(), l.opts)
+	}
+	return nil
+}
+
 // RunHardened drives up to n references from src through the engine under
 // panic recovery, continuous invariant auditing, and an optional wall-clock
 // deadline. It always returns the cumulative snapshot; a non-nil RunFailure
 // reports why the run stopped early. Counters accumulate across calls, as
-// with Run.
-func (m *Machine) RunHardened(src trace.Source, n int64, opts RunOptions) (Result, *RunFailure) {
-	tail := newTailBuffer(opts.TraceTail)
-	auditor := m.Auditor(opts.AuditEvery)
+// with Run. It is Run's loop with the hooks armed: audits and deadline
+// checks fall between engine chunks at exactly the references a
+// per-record loop would run them after, and a failure's trace tail is
+// assembled only when the run fails, so a hardened run is bit-for-bit a
+// plain one until something goes wrong.
+func (m *Machine) RunHardened(src trace.BatchSource, n int64, opts RunOptions) (Result, *RunFailure) {
+	l := &runLoop{opts: opts, tailN: opts.TraceTail}
+	if l.tailN <= 0 {
+		l.tailN = defaultTraceTail
+	}
 	// The deadline reads the wall clock, which is normally banned in model
 	// code: simulated results must be a pure function of the spec. It is
 	// safe here because the clock decides only *whether the run is cut
@@ -258,82 +196,27 @@ func (m *Machine) RunHardened(src trace.Source, n int64, opts RunOptions) (Resul
 	// bit-identical to an unhardened run, and one that doesn't returns a
 	// FailDeadline artifact, not a result row (the daemon's store never
 	// caches failures as results).
-	var deadline time.Time
 	if opts.Deadline > 0 {
-		deadline = time.Now().Add(opts.Deadline) //spurlint:ignore determinism — wall clock only aborts the run; it cannot alter any simulated value
+		l.deadline = time.Now().Add(opts.Deadline) //spurlint:ignore determinism — wall clock only aborts the run; it cannot alter any simulated value
 	}
 
 	var fail *RunFailure
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				fail = m.failure(FailPanic, fmt.Sprint(r), string(debug.Stack()), tail, opts)
+				if l.busy {
+					// The records before the one that panicked completed.
+					m.refs += int64(l.at)
+				}
+				fail = m.failure(FailPanic, fmt.Sprint(r), string(debug.Stack()), l.failureTail(), opts)
 			}
 		}()
-		bindRunnable(m.Pager, src)
-		// Batch sources refill a reusable buffer; plain sources are pulled
-		// one record at a time. Either way every reference passes through
-		// the same per-record body below — tail capture, access, audit
-		// cadence and the deadline stride are position-identical, so a
-		// hardened batched run is bit-for-bit a hardened unbatched one.
-		bs, batched := src.(trace.BatchSource)
-		var buf []trace.Rec
-		if batched {
-			buf = make([]trace.Rec, runBatchSize)
-		}
-		var one [1]trace.Rec
-		for i := int64(0); i < n; {
-			recs := one[:1]
-			if batched {
-				want := n - i
-				if want > runBatchSize {
-					want = runBatchSize
-				}
-				k := bs.NextBatch(buf[:want])
-				if k == 0 {
-					break
-				}
-				recs = buf[:k]
-			} else {
-				rec, ok := src.Next()
-				if !ok {
-					break
-				}
-				one[0] = rec
-			}
-			if opts.AuditEvery <= 0 && deadline.IsZero() {
-				// Neither mid-run audits nor a deadline: the per-record
-				// body reduces to the tail capture and the access itself.
-				// Bit-identical to the full body below — the skipped
-				// checks are no-ops in this configuration.
-				for _, rec := range recs {
-					tail.push(rec)
-					m.Engine.Access(rec)
-					m.refs++
-				}
-				i += int64(len(recs))
-				continue
-			}
-			for _, rec := range recs {
-				tail.push(rec)
-				m.Engine.Access(rec)
-				m.refs++
-				i++
-				if err := auditor.Tick(); err != nil {
-					fail = m.failure(FailAudit, err.Error(), "", tail, opts)
-					return
-				}
-				//spurlint:ignore determinism — wall clock only aborts the run; it cannot alter any simulated value
-				if !deadline.IsZero() && i%deadlineStride == 0 && time.Now().After(deadline) {
-					fail = m.failure(FailDeadline,
-						fmt.Sprintf("run exceeded its %v budget", opts.Deadline), "", tail, opts)
-					return
-				}
-			}
+		if fail = m.run(l, src, n); fail != nil {
+			return
 		}
 		if !opts.SkipFinalAudit {
 			if err := Audit(m); err != nil {
-				fail = m.failure(FailAudit, "post-run: "+err.Error(), "", tail, opts)
+				fail = m.failure(FailAudit, "post-run: "+err.Error(), "", l.failureTail(), opts)
 			}
 		}
 	}()

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/faultinject"
+	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -214,6 +218,175 @@ func TestCounterWrapInvisibleToMeasurements(t *testing.T) {
 	}
 }
 
+// tailRing is the oracle's trace tail: a ring of the most recent records,
+// pushed once per reference.
+type tailRing struct {
+	recs []trace.Rec
+	n    int
+	head int // index of the oldest record once the ring is full
+}
+
+func (t *tailRing) push(r trace.Rec) {
+	if len(t.recs) < t.n {
+		t.recs = append(t.recs, r)
+		return
+	}
+	t.recs[t.head] = r
+	t.head = (t.head + 1) % t.n
+}
+
+func (t *tailRing) snapshot() []trace.Rec {
+	out := make([]trace.Rec, len(t.recs))
+	k := copy(out, t.recs[t.head:])
+	copy(out[k:], t.recs[:t.head])
+	return out
+}
+
+// perRecordRun is the reference the batched run loop is checked against:
+// RunHardened's semantics spelled out one record at a time — pull a record,
+// push it on the tail, Access it, count it, audit when the cadence is due.
+// It has no deadline, whose timing no oracle can reproduce.
+func perRecordRun(m *Machine, src trace.Source, n int64, opts RunOptions) (Result, *RunFailure) {
+	tail := &tailRing{n: opts.TraceTail}
+	if tail.n <= 0 {
+		tail.n = defaultTraceTail
+	}
+	var fail *RunFailure
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				fail = m.failure(FailPanic, fmt.Sprint(r), "", tail.snapshot(), opts)
+			}
+		}()
+		bindRunnable(m.Pager, src)
+		for i := int64(0); i < n; i++ {
+			rec, ok := src.Next()
+			if !ok {
+				break
+			}
+			tail.push(rec)
+			m.Engine.Access(rec)
+			m.refs++
+			if opts.AuditEvery > 0 && (i+1)%opts.AuditEvery == 0 {
+				if err := Audit(m); err != nil {
+					fail = m.failure(FailAudit, err.Error(), "", tail.snapshot(), opts)
+					return
+				}
+			}
+		}
+		if !opts.SkipFinalAudit {
+			if err := Audit(m); err != nil {
+				fail = m.failure(FailAudit, "post-run: "+err.Error(), "", tail.snapshot(), opts)
+			}
+		}
+	}()
+	return m.Snapshot(), fail
+}
+
+// strayRecs is a stream over a registered data region with one stray
+// record at position bad, whose page lies in no region: the pager panics
+// on it with "vm: fault outside any region".
+func strayRecs(m *Machine, n, bad int) []trace.Rec {
+	seg := m.AllocSegment()
+	m.AddRegion(addr.PageIn(seg, 0), 64, vm.Data)
+	rng := workload.NewRNG(5)
+	recs := make([]trace.Rec, n)
+	for i := range recs {
+		off := rng.Intn(64 * addr.PageBytes)
+		recs[i] = trace.Rec{Op: trace.Op(rng.Intn(3)), Addr: addr.Global(seg, uint64(off))}
+	}
+	recs[bad] = trace.Rec{Op: trace.OpRead, Addr: addr.Global(m.AllocSegment(), 0)}
+	return recs
+}
+
+// sameFailure requires two runs to have stopped identically: every field
+// of the failure but the stack, and the cumulative result.
+func sameFailure(t *testing.T, res, wantRes Result, fail, want *RunFailure) {
+	t.Helper()
+	if res != wantRes {
+		t.Errorf("result diverged from the per-record oracle:\ngot  %+v\nwant %+v", res, wantRes)
+	}
+	if (fail == nil) != (want == nil) {
+		t.Fatalf("failure = %v, oracle's = %v", fail, want)
+	}
+	if fail == nil {
+		return
+	}
+	got, exp := *fail, *want
+	got.Stack, exp.Stack = "", ""
+	if !reflect.DeepEqual(got, exp) {
+		t.Errorf("failure diverged from the per-record oracle:\ngot  %v (tail %d) %+v\nwant %v (tail %d) %+v",
+			&got, len(got.Tail), got.Injections, &exp, len(exp.Tail), exp.Injections)
+	}
+}
+
+// TestRunLoopPanicMatchesPerRecord: a record that panics in the pager
+// mid-batch stops the batched loop exactly where a per-record loop stops —
+// same Refs, same trace tail ending at the stray record, and the partial
+// batch's counts folded into the result — whether the stray record is
+// deep in a batch, just past a batch boundary (the tail reaches into the
+// carried records), or in the first batch (the tail is short).
+func TestRunLoopPanicMatchesPerRecord(t *testing.T) {
+	for _, tc := range []struct {
+		bad, tail int
+	}{
+		{bad: 5000},
+		{bad: 4100},
+		{bad: 4150, tail: 200},
+		{bad: 10, tail: 200},
+	} {
+		run := func(oracle bool) (Result, *RunFailure) {
+			m := New(DefaultConfig())
+			src := trace.NewSliceSource(strayRecs(m, 9000, tc.bad))
+			opts := RunOptions{TraceTail: tc.tail}
+			if oracle {
+				return perRecordRun(m, src, 9000, opts)
+			}
+			return m.RunHardened(src, 9000, opts)
+		}
+		res, fail := run(false)
+		wantRes, want := run(true)
+		sameFailure(t, res, wantRes, fail, want)
+		if fail == nil || fail.Kind != FailPanic || !strings.Contains(fail.Reason, "vm: fault outside any region") {
+			t.Fatalf("bad=%d: failure %v, want the stray record's pager panic", tc.bad, fail)
+		}
+		wantTail := max(tc.tail, defaultTraceTail)
+		if fail.Refs != int64(tc.bad) || len(fail.Tail) != min(wantTail, tc.bad+1) {
+			t.Errorf("bad=%d: refs %d tail %d", tc.bad, fail.Refs, len(fail.Tail))
+		}
+	}
+}
+
+// TestRunLoopAuditMatchesPerRecord: with audits every 1000 references —
+// points that fall inside engine batches, not on their edges — an injected
+// line corruption is caught at the same reference, with the same tail and
+// injection log, as a per-record loop catches it; with no corruption the
+// audited run completes with the oracle's result.
+func TestRunLoopAuditMatchesPerRecord(t *testing.T) {
+	for _, faults := range [][]faultinject.Plan{
+		{{Kind: faultinject.LineCorrupt, Every: 2000}},
+		nil,
+	} {
+		run := func(oracle bool) (Result, *RunFailure) {
+			cfg := hardenCfg()
+			cfg.Faults = faults
+			m := New(cfg)
+			script := workload.NewScript(m, cfg.Seed, workload.SLCSpec())
+			opts := RunOptions{AuditEvery: 1000}
+			if oracle {
+				return perRecordRun(m, script, cfg.TotalRefs, opts)
+			}
+			return m.RunHardened(script, cfg.TotalRefs, opts)
+		}
+		res, fail := run(false)
+		wantRes, want := run(true)
+		sameFailure(t, res, wantRes, fail, want)
+		if faults != nil && (fail == nil || fail.Kind != FailAudit || fail.Refs%1000 != 0 || fail.Refs%4096 == 0) {
+			t.Fatalf("failure %v, want an audit breach between batch edges", fail)
+		}
+	}
+}
+
 // TestRunHardenedDeadline: a hopeless wall-clock budget stops the run with a
 // deadline failure instead of hanging the sweep.
 func TestRunHardenedDeadline(t *testing.T) {
@@ -228,46 +401,37 @@ func TestRunHardenedDeadline(t *testing.T) {
 	if res.Refs == 0 || res.Refs >= cfg.TotalRefs {
 		t.Errorf("refs at deadline = %d", res.Refs)
 	}
+	// The wall clock is read only every deadlineStride references, audits
+	// in between or not.
+	_, fail = RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
+		Deadline: time.Nanosecond, AuditEvery: 1000, SkipFinalAudit: true,
+	})
+	if fail == nil || fail.Kind != FailDeadline || fail.Refs == 0 || fail.Refs%deadlineStride != 0 {
+		t.Errorf("deadline failure %v: refs not a multiple of the %d-reference stride", fail, deadlineStride)
+	}
 }
 
 // TestMPSnoopDropBreaksCoherenceAndIsAudited: dropped snoops let stale
-// copies survive; the multiprocessor's continuous auditor catches the
-// coherence breach (at most one owner, exclusive means alone).
+// copies survive; auditing the multiprocessor every 1000 references catches
+// the coherence breach (at most one owner, exclusive means alone).
 func TestMPSnoopDropBreaksCoherenceAndIsAudited(t *testing.T) {
 	cfg := mpConfig()
 	cfg.MemoryBytes = 32 << 20
 	cfg.Faults = []faultinject.Plan{{Kind: faultinject.SnoopDrop, Every: 3}}
 	m := NewMP(cfg, 4)
 	w := workload.NewSharedWorkload(m, 1, workload.DefaultSharedParams(4))
-	auditor := m.Auditor(1000)
 	var breach error
 	for i := 0; i < 400_000 && breach == nil; i++ {
 		m.Access(i%4, w.Step(i%4))
-		breach = auditor.Tick()
+		if (i+1)%1000 == 0 {
+			breach = AuditMP(m)
+		}
 	}
 	if m.Bus.DroppedSnoops == 0 {
 		t.Fatal("no snoops were dropped")
 	}
 	if breach == nil {
 		t.Fatal("dropped snoops never tripped the MP coherence audit")
-	}
-}
-
-// TestAuditorCadence: the auditor fires exactly every N ticks.
-func TestAuditorCadence(t *testing.T) {
-	calls := 0
-	a := NewContinuousAuditor(10, func() error { calls++; return nil })
-	for i := 0; i < 95; i++ {
-		if err := a.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 9 {
-		t.Errorf("auditor ran %d times over 95 ticks at cadence 10", calls)
-	}
-	var nilAud *ContinuousAuditor
-	if nilAud.Tick() != nil {
-		t.Error("nil auditor audited")
 	}
 }
 

@@ -5,6 +5,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -176,64 +178,127 @@ type Result struct {
 }
 
 // bindRunnable connects a source's runnable-process count to the pager, so
-// page-in stalls overlap with other processes' work. The plain and hardened
-// runners both go through it: the capability assertion lives in one place
-// so the two paths cannot drift.
+// page-in stalls overlap with other processes' work.
 func bindRunnable(p *vm.Pager, src trace.Source) {
 	if r, ok := src.(interface{ Runnable() int }); ok {
 		p.Runnable = r.Runnable
 	}
 }
 
-// runBatchSize is the reference buffer filled per batch-source call. One
-// page of records keeps the buffer cache-resident while amortizing the
-// per-reference interface dispatch to one call in a few thousand.
+// runBatchSize is the most records the run loop buffers per source fill.
+// One page of records keeps the buffer cache-resident while amortizing the
+// source and engine dispatch to one call in a few thousand.
 const runBatchSize = 4096
 
 // Run drives up to n references from src through the engine and returns the
 // run summary. Counters are not reset, so successive Runs accumulate; use a
 // fresh Machine per experiment. Sources that report their runnable process
 // count (like workload scripts) let the pager overlap page-in stalls with
-// other processes' work. Batch sources are consumed a buffer at a time;
-// the reference sequence (and so every simulated outcome) is identical
-// either way.
-func (m *Machine) Run(src trace.Source, n int64) Result {
-	bindRunnable(m.Pager, src)
-	if bs, ok := src.(trace.BatchSource); ok {
-		return m.runBatched(bs, n)
-	}
-	var i int64
-	for ; i < n; i++ {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		m.Engine.Access(rec)
-	}
-	m.refs += i
+// other processes' work. Run is the run loop with no hooks; RunHardened is
+// the same loop under panic recovery, audits and a deadline.
+func (m *Machine) Run(src trace.BatchSource, n int64) Result {
+	m.run(&runLoop{}, src, n)
 	return m.Snapshot()
 }
 
-// runBatched is Run's buffered fast path: the source fills a reusable
-// record buffer, and the engine consumes it with a single concrete call
-// per batch instead of two interface dispatches per reference.
-func (m *Machine) runBatched(src trace.BatchSource, n int64) Result {
-	buf := make([]trace.Rec, runBatchSize)
-	var i int64
-	for i < n {
-		want := n - i
-		if want > runBatchSize {
-			want = runBatchSize
-		}
-		k := src.NextBatch(buf[:want])
+// runLoop is the state of one call of the run loop: its hooks, the batch
+// in hand and where the engine is in it, and the records carried over from
+// the previous batch. A run that stops early leaves it describing exactly
+// where, which is all a failure report needs.
+type runLoop struct {
+	// opts arms the hooks — an invariant audit every AuditEvery
+	// references, a check of deadline every deadlineStride — and shapes
+	// failure reports. Run's zero value arms nothing.
+	opts     RunOptions
+	deadline time.Time
+
+	batch []trace.Rec // the batch in hand; nil between batches
+	acc   int         // records of batch the engine has completed and counted
+	busy  bool        // a chunk of batch is in the engine
+	at    int         // the engine's position in that chunk
+
+	tailN int         // records a failure report keeps
+	tail  []trace.Rec // the last tailN records before batch
+}
+
+// run is the one run loop. It fills a buffer of min(n, runBatchSize)
+// records, cuts each batch into chunks that end exactly at the next audit
+// point and the next deadline check, hands each chunk to
+// Engine.AccessBatchAt and runs the hooks between chunks. It returns the
+// failure a hook reports.
+func (m *Machine) run(l *runLoop, src trace.BatchSource, n int64) *RunFailure {
+	bindRunnable(m.Pager, src)
+	if n <= 0 {
+		return nil
+	}
+	buf := make([]trace.Rec, min(n, runBatchSize))
+	for i := int64(0); i < n; {
+		k := src.NextBatch(buf[:min(n-i, int64(len(buf)))])
 		if k == 0 {
 			break
 		}
-		m.Engine.AccessBatch(buf[:k])
-		i += int64(k)
+		l.batch = buf[:k]
+		for l.acc < k {
+			end := k
+			if d := l.untilHook(i); d < int64(k-l.acc) {
+				end = l.acc + int(d)
+			}
+			l.busy = true
+			m.Engine.AccessBatchAt(l.batch[l.acc:end], &l.at)
+			l.busy = false
+			m.refs += int64(end - l.acc)
+			i += int64(end - l.acc)
+			l.acc = end
+			if f := m.hooks(l, i); f != nil {
+				return f
+			}
+		}
+		l.carry()
 	}
-	m.refs += i
-	return m.Snapshot()
+	return nil
+}
+
+// untilHook returns how many references remain before the next hook is
+// due, counting from position i of the run.
+func (l *runLoop) untilHook(i int64) int64 {
+	d := int64(math.MaxInt64)
+	if every := l.opts.AuditEvery; every > 0 {
+		d = every - i%every
+	}
+	if !l.deadline.IsZero() {
+		d = min(d, deadlineStride-i%deadlineStride)
+	}
+	return d
+}
+
+// carry keeps the last tailN records of the finished batch, together with
+// what was carried before when the batch is shorter than that.
+func (l *runLoop) carry() {
+	b := l.batch
+	if len(b) >= l.tailN {
+		l.tail = append(l.tail[:0], b[len(b)-l.tailN:]...)
+	} else {
+		if over := len(l.tail) + len(b) - l.tailN; over > 0 {
+			l.tail = l.tail[:copy(l.tail, l.tail[over:])]
+		}
+		l.tail = append(l.tail, b...)
+	}
+	l.batch, l.acc = nil, 0
+}
+
+// failureTail returns the last tailN records the run fed the engine, oldest
+// first, up to and including the record a panic stopped it at.
+func (l *runLoop) failureTail() []trace.Rec {
+	upto := l.acc
+	if l.busy {
+		upto += l.at + 1
+	}
+	recent := l.batch[:upto]
+	keep := min(len(l.tail), max(l.tailN-len(recent), 0))
+	recent = recent[max(len(recent)-l.tailN, 0):]
+	out := make([]trace.Rec, 0, keep+len(recent))
+	out = append(out, l.tail[len(l.tail)-keep:]...)
+	return append(out, recent...)
 }
 
 // Snapshot returns the machine's cumulative result.

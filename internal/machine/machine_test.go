@@ -241,16 +241,16 @@ func TestFrameConservationUnderStress(t *testing.T) {
 	}
 }
 
-// perRefSource strips a script's batch capability so Run takes the
-// per-reference path, while keeping Runnable visible to the pager.
+// perRefSource strips a script's batch capability, keeping Runnable visible
+// to the pager, for the per-record oracle loop.
 type perRefSource struct{ s *workload.Script }
 
 func (p perRefSource) Next() (trace.Rec, bool) { return p.s.Next() }
 func (p perRefSource) Runnable() int           { return p.s.Runnable() }
 
 // TestBatchedRunMatchesPerRef runs the same machine and workload twice —
-// once through the batched fast path, once per reference — and requires
-// identical results. The stream being identical is necessary but not
+// once through the run loop, once per reference through the per-record
+// oracle (perRecordRun) — and requires identical results. The stream being identical is necessary but not
 // sufficient: batch generation runs ahead of consumption, so a job releasing
 // a heap generation (or a reaped task tearing its regions down) mid-batch
 // would unmap pages before the machine replays the references generated
@@ -286,11 +286,11 @@ func TestBatchedRunMatchesPerRef(t *testing.T) {
 		cfg.MemoryBytes = 1 << 20
 		m := New(cfg)
 		s := workload.NewScript(m, 11, spec)
-		var src trace.Source = s
 		if !batched {
-			src = perRefSource{s}
+			res, _ := perRecordRun(m, perRefSource{s}, 300_000, RunOptions{SkipFinalAudit: true})
+			return res
 		}
-		return m.Run(src, 300_000)
+		return m.Run(s, 300_000)
 	}
 	batch, perRef := run(true), run(false)
 	if batch != perRef {
