@@ -6,23 +6,25 @@ import (
 )
 
 // HotPathAnalyzer pins the flat-core rewrite structurally: the per-reference
-// probe/translate path runs on dense, index-addressed arrays, and a map
-// operation reappearing inside one of those functions is a regression, not a
-// style choice. Maps cost a hash per access where the hot path affords an
-// index, and map iteration order is randomized — the exact hazards the line
-// table and the chunked PTE store were rebuilt to remove. The check is
+// path — generating a reference, then probing and translating it — runs on
+// dense, index-addressed state, and a map operation reappearing inside one
+// of those functions is a regression, not a style choice. Maps cost a hash
+// per access where the hot path affords an index, and map iteration order
+// is randomized — the exact hazards the line table, the chunked PTE store
+// and the generator's threshold table were built to remove. The check is
 // syntactic and local to the named function bodies; helper functions a hot
 // function calls are expected to live in the same file and be equally flat.
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid map operations inside the designated probe/translate hot-path functions",
+	Doc:  "forbid map operations inside the designated per-reference hot-path functions",
 	Run:  runHotPath,
 }
 
 // hotPathFuncs names the hot-path methods per package as "Receiver.Method".
-// These are the functions the engine executes for every memory reference (or
-// every miss): the cache lookup/fill/flush surface, the PTE store accessors,
-// and the in-cache translation unit.
+// These are the functions run for every memory reference (or every miss):
+// the workload generator's step and decision functions, the cache
+// lookup/fill/flush surface, the PTE store accessors, and the in-cache
+// translation unit.
 var hotPathFuncs = map[string]map[string]bool{
 	"repro/internal/cache": {
 		"Cache.Probe":      true,
@@ -43,6 +45,20 @@ var hotPathFuncs = map[string]map[string]bool{
 		"Unit.TranslateMiss":   true,
 		"Unit.CheckPTE":        true,
 		"Unit.UpdatePTE":       true,
+	},
+	"repro/internal/workload": {
+		"Job.Step":      true,
+		"Job.StepBatch": true,
+		"Job.ifetch":    true,
+		"Job.dataOp":    true,
+		"Job.scan":      true,
+		"Job.srcScan":   true,
+		"Job.stackOp":   true,
+		"Job.alloc":     true,
+		"Job.heapTouch": true,
+		"RNG.Uint64":    true,
+		"RNG.Intn":      true,
+		"RNG.below":     true,
 	},
 }
 
@@ -73,26 +89,26 @@ func (p *Pass) checkHotBody(fn string, body *ast.BlockStmt) {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			if isMapType(p.TypeOf(n.X)) {
-				p.Reportf(n, "%s is on the probe/translate hot path and must stay on dense index-addressed state; this ranges over a map (randomized order, hash per step)", fn)
+				p.Reportf(n, "%s is on the per-reference hot path and must stay on dense index-addressed state; this ranges over a map (randomized order, hash per step)", fn)
 			}
 		case *ast.IndexExpr:
 			if isMapType(p.TypeOf(n.X)) {
-				p.Reportf(n, "%s is on the probe/translate hot path and must stay on dense index-addressed state; %s indexes a map (a hash per reference)", fn, render(n))
+				p.Reportf(n, "%s is on the per-reference hot path and must stay on dense index-addressed state; %s indexes a map (a hash per reference)", fn, render(n))
 			}
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok {
 				if _, builtin := p.ObjectOf(id).(*types.Builtin); builtin {
 					switch {
 					case id.Name == "delete":
-						p.Reportf(n, "%s is on the probe/translate hot path and must stay on dense index-addressed state; delete mutates a map", fn)
+						p.Reportf(n, "%s is on the per-reference hot path and must stay on dense index-addressed state; delete mutates a map", fn)
 					case id.Name == "make" && len(n.Args) > 0 && isMapType(p.TypeOf(n.Args[0])):
-						p.Reportf(n, "%s is on the probe/translate hot path and must stay on dense index-addressed state; this allocates a map", fn)
+						p.Reportf(n, "%s is on the per-reference hot path and must stay on dense index-addressed state; this allocates a map", fn)
 					}
 				}
 			}
 		case *ast.CompositeLit:
 			if isMapType(p.TypeOf(n)) {
-				p.Reportf(n, "%s is on the probe/translate hot path and must stay on dense index-addressed state; this builds a map literal", fn)
+				p.Reportf(n, "%s is on the per-reference hot path and must stay on dense index-addressed state; this builds a map literal", fn)
 			}
 		}
 		return true

@@ -19,8 +19,9 @@
 //     truncation of 64-bit counters.
 //   - errcheck: no discarded error returns in non-test code.
 //   - goconfine: `go` statements only in packages allowed to own concurrency.
-//   - hotpath: the designated probe/translate hot-path functions stay on
-//     dense index-addressed structures — no map operations.
+//   - hotpath: the designated per-reference hot-path functions (generator
+//     step and decisions, cache probe, in-cache translation) stay on dense
+//     index-addressed structures — no map operations.
 //   - taint: interprocedural determinism — the module-wide call graph is
 //     walked and nondeterministic sources (wall clock, global RNG, escaping
 //     map order) taint their transitive callers; a model-package call into

@@ -1,6 +1,6 @@
 //spurlint:path repro/internal/pte
 
-// Negative hot-path fixture: the designated probe/translate functions have
+// Negative hot-path fixture: the designated PTE-store functions have
 // regressed onto map-backed state — a hash per reference and randomized
 // iteration order, exactly what the dense chunked store removed.
 package fixture

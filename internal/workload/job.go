@@ -113,8 +113,12 @@ func (p JobParams) valid() {
 type Job struct {
 	p   JobParams
 	env Env
-	rng *RNG
+	rng RNG
 	seg addr.SegmentID
+	// t holds the job's decision probabilities as below thresholds,
+	// converted once so every per-reference decision is one integer
+	// compare that fires on exactly the draws the float compare would.
+	t thresholds
 
 	// SharedCode regions (owned by the script, not released at exit).
 	shared []vm.Region
@@ -125,6 +129,12 @@ type Job struct {
 	src     vm.Region // read-only persistent sources, N may be 0
 	heap    vm.Region
 	stack   vm.Region
+
+	// Revisit targets, fixed with the regions: the data region's hot
+	// subset (0 disables hot revisits), the source region's hot subset
+	// (at least one block), and each region's trailing window.
+	dataHot, dataWindow int
+	srcHot, srcWindow   int
 
 	codeBlocks int // total code blocks including shared
 	hotBlocks  int
@@ -145,6 +155,49 @@ type Job struct {
 	released bool
 }
 
+// thresholds are a job's decision probabilities converted by threshold.
+// Cumulative cases of one draw (stack then alloc; read-only then
+// read-modify-write) are summed in float64 before conversion, as the float
+// compares they replace summed them.
+type thresholds struct {
+	ifetch, jump, farJump                  uint64
+	stack, stackAlloc, scanHeap, srcRead   uint64
+	seq, hotData, hotWrite, revisitWrite   uint64
+	writePage, readPassWrite, backWrite    uint64
+	writeRO, writeROorRMW                  uint64
+	stackWrite, heapTouchRead, hotWriteRMW uint64
+}
+
+func newThresholds(p JobParams) thresholds {
+	return thresholds{
+		ifetch:        threshold(p.PIFetch),
+		jump:          threshold(p.PJump),
+		farJump:       threshold(p.PFarJump),
+		stack:         threshold(p.PStack),
+		stackAlloc:    threshold(p.PStack + p.PAlloc),
+		scanHeap:      threshold(p.PScanHeap),
+		srcRead:       threshold(p.PSrcRead),
+		seq:           threshold(p.PSeq),
+		hotData:       threshold(p.PHotData),
+		hotWrite:      threshold(p.PHotWrite),
+		revisitWrite:  threshold(p.PRevisitWrite),
+		writePage:     threshold(p.PWritePage),
+		readPassWrite: threshold(p.ReadPassWrite),
+		backWrite:     threshold(p.PBackWrite),
+		writeRO:       threshold(p.WriteRO),
+		writeROorRMW:  threshold(p.WriteRO + p.WriteRMW),
+		stackWrite:    threshold(0.7),
+		heapTouchRead: threshold(0.8),
+		hotWriteRMW:   threshold(0.35),
+	}
+}
+
+// revisitWindow is the trailing window, in blocks, that revisits of a
+// region of nblocks blocks draw from.
+func revisitWindow(windowPages, nblocks int) int {
+	return max(min(windowPages*addr.BlocksPerPage, nblocks), 1)
+}
+
 // NewJob creates the process: allocates its segment and registers regions.
 func NewJob(env Env, rng *RNG, p JobParams, shared []vm.Region) *Job {
 	return newJobWithData(env, rng, p, shared, vm.Region{}, vm.Region{})
@@ -160,7 +213,7 @@ func newJobWithData(env Env, rng *RNG, p JobParams, shared []vm.Region, persiste
 	}
 	p.valid()
 	j := &Job{
-		p: p, env: env, rng: rng.Fork(), seg: env.AllocSegment(),
+		p: p, env: env, rng: *rng.Fork(), t: newThresholds(p), seg: env.AllocSegment(),
 		shared: shared, src: source, refsLeft: p.Refs,
 	}
 	if source.N > 0 {
@@ -195,6 +248,12 @@ func newJobWithData(env Env, rng *RNG, p JobParams, shared []vm.Region, persiste
 	if p.RandomStart {
 		j.dataCursor = j.rng.Intn(p.DataPages) * addr.BlocksPerPage
 	}
+	dataBlocks := j.data.N * addr.BlocksPerPage
+	j.dataHot = int(float64(dataBlocks) * p.HotDataFrac)
+	j.dataWindow = revisitWindow(p.WindowPages, dataBlocks)
+	srcBlocks := j.src.N * addr.BlocksPerPage
+	j.srcHot = max(int(float64(srcBlocks)*p.HotDataFrac), 1)
+	j.srcWindow = revisitWindow(p.WindowPages, srcBlocks)
 	return j
 }
 
@@ -251,7 +310,7 @@ func (j *Job) Step() trace.Rec {
 		j.npend--
 		return j.pending[j.npend]
 	}
-	if j.rng.Chance(j.p.PIFetch) {
+	if j.rng.below(j.t.ifetch) {
 		return j.ifetch()
 	}
 	j.dataOp()
@@ -260,24 +319,24 @@ func (j *Job) Step() trace.Rec {
 }
 
 // StepBatch implements proc.BatchStepper: it emits exactly the records
-// len(buf) successive Step calls would, in one concrete call. The caller
-// bounds len(buf) by StepHorizon, which is what lets the loop skip the
-// per-step Done and turnover checks.
-func (j *Job) StepBatch(buf []trace.Rec) {
+// len(buf) successive Step calls would, stamped with pid, in one concrete
+// call. The caller bounds len(buf) by StepHorizon, which is what lets the
+// loop skip the per-step Done and turnover checks.
+func (j *Job) StepBatch(buf []trace.Rec, pid int32) {
 	j.refsLeft -= int64(len(buf))
 	for i := range buf {
-		if j.npend > 0 {
+		var r trace.Rec
+		if j.npend == 0 && j.rng.below(j.t.ifetch) {
+			r = j.ifetch()
+		} else {
+			if j.npend == 0 {
+				j.dataOp()
+			}
 			j.npend--
-			buf[i] = j.pending[j.npend]
-			continue
+			r = j.pending[j.npend]
 		}
-		if j.rng.Chance(j.p.PIFetch) {
-			buf[i] = j.ifetch()
-			continue
-		}
-		j.dataOp()
-		j.npend--
-		buf[i] = j.pending[j.npend]
+		r.PID = pid
+		buf[i] = r
 	}
 }
 
@@ -306,8 +365,8 @@ func (j *Job) codeAddr(idx int) addr.GVA {
 }
 
 func (j *Job) ifetch() trace.Rec {
-	if j.rng.Chance(j.p.PJump) {
-		if j.rng.Chance(j.p.PFarJump) {
+	if j.rng.below(j.t.jump) {
+		if j.rng.below(j.t.farJump) {
 			j.codeIdx = j.rng.Intn(j.codeBlocks)
 		} else {
 			j.codeIdx = j.rng.Intn(j.hotBlocks)
@@ -324,15 +383,15 @@ func (j *Job) ifetch() trace.Rec {
 
 // dataOp enqueues one or two data references.
 func (j *Job) dataOp() {
-	u := j.rng.Float64()
+	u := j.rng.Uint64() >> 11
 	switch {
-	case u < j.p.PStack && j.stack.N > 0:
+	case u < j.t.stack && j.stack.N > 0:
 		j.stackOp()
-	case u < j.p.PStack+j.p.PAlloc && j.heap.N > 0:
+	case u < j.t.stackAlloc && j.heap.N > 0:
 		j.alloc()
-	case j.rng.Chance(j.p.PScanHeap) && j.heapCursor > 0:
+	case j.rng.below(j.t.scanHeap) && j.heapCursor > 0:
 		j.heapTouch()
-	case j.src.N > 0 && j.rng.Chance(j.p.PSrcRead):
+	case j.src.N > 0 && j.rng.below(j.t.srcRead):
 		j.srcScan()
 	default:
 		j.scan()
@@ -345,24 +404,16 @@ func (j *Job) srcScan() {
 	nblocks := j.src.N * addr.BlocksPerPage
 	var blk int
 	switch {
-	case j.rng.Chance(j.p.PSeq):
+	case j.rng.below(j.t.seq):
 		j.srcCursor++
 		if j.srcCursor >= nblocks {
 			j.srcCursor = 0
 		}
 		blk = j.srcCursor
-	case j.rng.Chance(j.p.PHotData):
-		hot := int(float64(nblocks) * j.p.HotDataFrac)
-		if hot < 1 {
-			hot = 1
-		}
-		blk = j.rng.Intn(hot)
+	case j.rng.below(j.t.hotData):
+		blk = j.rng.Intn(j.srcHot)
 	default:
-		w := min(j.p.WindowPages*addr.BlocksPerPage, nblocks)
-		if w < 1 {
-			w = 1
-		}
-		blk = j.srcCursor - j.rng.Intn(w)
+		blk = j.srcCursor - j.rng.Intn(j.srcWindow)
 		if blk < 0 {
 			blk += nblocks
 		}
@@ -378,7 +429,7 @@ func (j *Job) srcScan() {
 func (j *Job) stackOp() {
 	hot := min(j.stack.N, 2) * addr.BlocksPerPage
 	a := j.stack.Start.Base() + addr.GVA(j.rng.Intn(hot)*addr.BlockBytes)
-	if j.rng.Chance(0.7) {
+	if j.rng.below(j.t.stackWrite) {
 		j.push(trace.OpWrite, a)
 	} else {
 		j.push(trace.OpRead, a)
@@ -422,7 +473,7 @@ func (j *Job) newHeapGeneration() {
 func (j *Job) heapTouch() {
 	blk := j.rng.Intn(j.heapCursor)
 	a := j.heap.Start.Base() + addr.GVA(blk*addr.BlockBytes)
-	if j.rng.Chance(0.8) {
+	if j.rng.below(j.t.heapTouchRead) {
 		j.push(trace.OpRead, a)
 	} else {
 		j.push(trace.OpWrite, a)
@@ -433,7 +484,7 @@ func (j *Job) heapTouch() {
 // intents, with occasional revisits into the trailing window.
 func (j *Job) scan() {
 	nblocks := j.data.N * addr.BlocksPerPage
-	if j.rng.Chance(j.p.PSeq) {
+	if j.rng.below(j.t.seq) {
 		prevPage := j.dataCursor / addr.BlocksPerPage
 		j.dataCursor++
 		if j.dataCursor >= nblocks {
@@ -442,7 +493,7 @@ func (j *Job) scan() {
 		if j.dataCursor/addr.BlocksPerPage != prevPage {
 			// Entering a new page: decide whether this pass writes it,
 			// and how many opening blocks it examines before writing.
-			j.writePass = j.rng.Chance(j.p.PWritePage)
+			j.writePass = j.rng.below(j.t.writePage)
 			j.readLen = j.rng.Range(1, 3)
 		}
 		posInPage := j.dataCursor % addr.BlocksPerPage
@@ -451,7 +502,7 @@ func (j *Job) scan() {
 		// of a block, not one — the pending ops replay the block a few
 		// times (LIFO, so writes are pushed first to come out last).
 		if !j.writePass {
-			if j.rng.Chance(j.p.ReadPassWrite) {
+			if j.rng.below(j.t.readPassWrite) {
 				j.push(trace.OpWrite, a)
 			}
 			for k := j.rng.Range(3, 6); k > 0; k-- {
@@ -467,7 +518,7 @@ func (j *Job) scan() {
 			}
 			return
 		}
-		if j.rng.Chance(j.p.PBackWrite) {
+		if j.rng.below(j.t.backWrite) {
 			// Update one of the opening blocks examined earlier: the
 			// stale-block write that FAULT pays an excess fault for and
 			// SPUR a dirty-bit miss.
@@ -476,13 +527,13 @@ func (j *Job) scan() {
 			j.push(trace.OpWrite, back)
 			return
 		}
-		u := j.rng.Float64()
+		u := j.rng.Uint64() >> 11
 		switch {
-		case u < j.p.WriteRO:
+		case u < j.t.writeRO:
 			for k := j.rng.Range(2, 4); k > 0; k-- {
 				j.push(trace.OpRead, a)
 			}
-		case u < j.p.WriteRO+j.p.WriteRMW:
+		case u < j.t.writeROorRMW:
 			// Read-modify-write of the block's contents.
 			for k := j.rng.Range(1, 2); k > 0; k-- {
 				j.push(trace.OpWrite, a)
@@ -498,13 +549,13 @@ func (j *Job) scan() {
 		return
 	}
 	// Revisit: either the region's hot subset or the trailing window.
-	if hot := int(float64(nblocks) * j.p.HotDataFrac); hot > 0 && j.rng.Chance(j.p.PHotData) {
-		a := j.data.Start.Base() + addr.GVA(j.rng.Intn(hot)*addr.BlockBytes)
-		if j.rng.Chance(j.p.PHotWrite) {
+	if j.dataHot > 0 && j.rng.below(j.t.hotData) {
+		a := j.data.Start.Base() + addr.GVA(j.rng.Intn(j.dataHot)*addr.BlockBytes)
+		if j.rng.below(j.t.hotWrite) {
 			// Updates of hot structures sometimes examine before
 			// storing (read-modify-write), like any table update.
 			j.push(trace.OpWrite, a)
-			if j.rng.Chance(0.35) {
+			if j.rng.below(j.t.hotWriteRMW) {
 				j.push(trace.OpRead, a)
 			}
 		} else {
@@ -512,28 +563,14 @@ func (j *Job) scan() {
 		}
 		return
 	}
-	var blk int
-	{
-		w := min(j.p.WindowPages*addr.BlocksPerPage, nblocks)
-		if w < 1 {
-			w = 1
-		}
-		blk = j.dataCursor - j.rng.Intn(w)
-		if blk < 0 {
-			blk += nblocks
-		}
+	blk := j.dataCursor - j.rng.Intn(j.dataWindow)
+	if blk < 0 {
+		blk += nblocks
 	}
 	a := j.data.Start.Base() + addr.GVA(blk*addr.BlockBytes)
-	if j.rng.Chance(j.p.PRevisitWrite) {
+	if j.rng.below(j.t.revisitWrite) {
 		j.push(trace.OpWrite, a)
 	} else {
 		j.push(trace.OpRead, a)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,7 +9,10 @@
 // zero-fill page creation (N_zfod).
 package workload
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic generator (splitmix64). Experiments
 // use explicit seeds so runs repeat exactly.
@@ -48,13 +51,27 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+// threshold converts a probability into the integer bound below which a
+// 53-bit draw counts as a hit, so that below(threshold(p)) decides exactly
+// as the float compare float64(m)/2⁵³ < p on the same draw m = x>>11. Both
+// sides of that compare scale exactly by 2⁵³: m < 2⁵³ converts to float64
+// without rounding, and p·2⁵³ only moves the exponent. So the compare is
+// m < p·2⁵³, which for an integer m is m < ⌈p·2⁵³⌉. A p that is NaN or at
+// most 0 never fires (threshold 0); a p of 1 or more always fires (2⁵³,
+// above every draw).
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
-// Chance reports true with probability p.
-func (r *RNG) Chance(p float64) bool { return r.Float64() < p }
+// below draws 53 random bits and reports whether they fall below t, a
+// bound from threshold: true with probability t/2⁵³.
+func (r *RNG) below(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Range returns a uniform int in [lo, hi].
 func (r *RNG) Range(lo, hi int) int {
