@@ -21,7 +21,7 @@ func TestSweepQuarantinesBrokenRun(t *testing.T) {
 		Refs:        120_000,
 		Seed:        7,
 		ArtifactDir: dir,
-		Configure: func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy) {
+		configure: func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy) {
 			if memMB == 5 && pol == RefNONE {
 				cfg.Faults = []FaultPlan{{Kind: FaultPageInIO, Every: 1}}
 			}

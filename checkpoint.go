@@ -50,19 +50,6 @@ func sweepCells(o MemorySweepOptions) []sweepCell {
 	return cells
 }
 
-// table41Cells enumerates Table 4.1's cells in canonical order.
-func table41Cells(o Table41Options) []sweepCell {
-	var cells []sweepCell
-	for _, wl := range []core.WorkloadName{core.SLC, core.Workload1} {
-		for _, mb := range o.SizesMB {
-			for _, pol := range RefPolicies {
-				cells = append(cells, sweepCell{wl, mb, pol})
-			}
-		}
-	}
-	return cells
-}
-
 // ckptEntry is one journal record: a completed (cell, rep) run. The
 // coordinates are stored both as indices (the slot) and as names (so a
 // replay can verify the journal matches the spec it claims).
@@ -105,16 +92,27 @@ func table41SpecKey(o Table41Options) (expstore.Key, error) {
 	}{o.Refs, o.Reps, o.Seed, o.SizesMB})
 }
 
-// ckptWriter serializes concurrent per-run journal appends and keeps the
-// first append error.
-type ckptWriter struct {
+// ckptSink connects a plan to a checkpoint journal: repetitions replayed
+// from it pre-seed their slots and are skipped, and every completed run is
+// appended (record is called concurrently across workers; appends are
+// serialized and the first error is kept).
+type ckptSink struct {
+	cells   []sweepCell
+	entries []ckptEntry
+	done    map[int]bool
+
 	mu  sync.Mutex
 	w   *journal.Writer
 	err error
 }
 
-func (c *ckptWriter) append(e ckptEntry) {
-	b, err := json.Marshal(e)
+func (c *ckptSink) record(cell, rep int, r SweepRep) {
+	sc := c.cells[cell]
+	b, err := json.Marshal(ckptEntry{
+		Cell: cell, Rep: rep,
+		Workload: string(sc.wl), MemMB: sc.mb, Policy: sc.pol.String(),
+		Seed: r.Seed, Result: r.Result, Failure: r.Failure,
+	})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -127,7 +125,7 @@ func (c *ckptWriter) append(e ckptEntry) {
 	c.err = c.w.Append(b)
 }
 
-func (c *ckptWriter) close() error {
+func (c *ckptSink) close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cerr := c.w.Close(); c.err == nil {
@@ -195,23 +193,32 @@ func decodeCkptEntries(raw [][]byte, cells []sweepCell, seed uint64, reps int) (
 // — after validating that its header matches this sweep's canonical spec
 // hash — and only the missing runs are computed. The rows (and therefore
 // MemorySweepCSV) are byte-identical to an uninterrupted run.
-//
-// Sweeps with a Configure hook or a Deadline cannot be journaled: the hook
-// is not part of the hashable spec, and deadline quarantines depend on
-// machine load, so neither replays deterministically.
 func MemorySweepJournaled(opts MemorySweepOptions, path string, resume bool) ([]MemorySweepRow, error) {
-	if opts.Configure != nil {
-		return nil, fmt.Errorf("spur: journaled sweeps cannot use Configure: the hook is not part of the hashable spec")
-	}
-	if opts.Deadline != 0 {
-		return nil, fmt.Errorf("spur: journaled sweeps cannot use Deadline: deadline quarantines are load-dependent and do not replay deterministically")
-	}
 	opts.fill()
 	key, err := sweepSpecKey(opts)
 	if err != nil {
 		return nil, err
 	}
-	hdr := journal.Header{Kind: sweepJournalKind, SpecKey: string(key), Version: Version}
+	return sweepJournaled(opts, sweepJournalKind, key, path, resume)
+}
+
+// Table41Journaled is MemorySweepJournaled's counterpart for the Table 4.1
+// driver: same journal format, same spec-hash validation, same
+// byte-identical resume guarantee, under its own journal kind and spec key.
+func Table41Journaled(opts Table41Options, path string, resume bool) ([]Table41Row, error) {
+	opts.fill()
+	key, err := table41SpecKey(opts)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := sweepJournaled(opts.sweep(), table41JournalKind, key, path, resume)
+	return table41Rows(rows), err
+}
+
+// sweepJournaled runs a filled sweep under the checkpoint journal at path,
+// whose header names the journal kind and spec key.
+func sweepJournaled(opts MemorySweepOptions, kind string, key expstore.Key, path string, resume bool) ([]MemorySweepRow, error) {
+	hdr := journal.Header{Kind: kind, SpecKey: string(key), Version: Version}
 	w, raw, err := openCkpt(path, resume, hdr)
 	if err != nil {
 		return nil, err
@@ -222,60 +229,7 @@ func MemorySweepJournaled(opts MemorySweepOptions, path string, resume bool) ([]
 		_ = w.Close() // refusing the journal; nothing was written
 		return nil, err
 	}
-
-	ck := &ckptWriter{w: w}
-	opts.preseed = entries
-	opts.skipDone = func(cell, rep int) bool { return done[cell*opts.Reps+rep] }
-	opts.onRep = func(cell, rep int, r SweepRep) {
-		c := cells[cell]
-		ck.append(ckptEntry{
-			Cell: cell, Rep: rep,
-			Workload: string(c.wl), MemMB: c.mb, Policy: c.pol.String(),
-			Seed: r.Seed, Result: r.Result, Failure: r.Failure,
-		})
-	}
-	rows := MemorySweep(opts)
-	if err := ck.close(); err != nil {
-		return rows, err
-	}
-	return rows, nil
-}
-
-// Table41Journaled is MemorySweepJournaled's counterpart for the Table 4.1
-// driver: same journal format, same spec-hash validation, same
-// byte-identical resume guarantee.
-func Table41Journaled(opts Table41Options, path string, resume bool) ([]Table41Row, error) {
-	opts.fill()
-	key, err := table41SpecKey(opts)
-	if err != nil {
-		return nil, err
-	}
-	hdr := journal.Header{Kind: table41JournalKind, SpecKey: string(key), Version: Version}
-	w, raw, err := openCkpt(path, resume, hdr)
-	if err != nil {
-		return nil, err
-	}
-	cells := table41Cells(opts)
-	entries, done, err := decodeCkptEntries(raw, cells, opts.Seed, opts.Reps)
-	if err != nil {
-		_ = w.Close() // refusing the journal; nothing was written
-		return nil, err
-	}
-
-	ck := &ckptWriter{w: w}
-	opts.preseed = entries
-	opts.skipDone = func(cell, rep int) bool { return done[cell*opts.Reps+rep] }
-	opts.onRep = func(cell, rep int, seed uint64, res Result) {
-		c := cells[cell]
-		ck.append(ckptEntry{
-			Cell: cell, Rep: rep,
-			Workload: string(c.wl), MemMB: c.mb, Policy: c.pol.String(),
-			Seed: seed, Result: res,
-		})
-	}
-	rows := Table41(opts)
-	if err := ck.close(); err != nil {
-		return rows, err
-	}
-	return rows, nil
+	sink := &ckptSink{cells: cells, entries: entries, done: done, w: w}
+	rows := runSweep(opts, sink)
+	return rows, sink.close()
 }

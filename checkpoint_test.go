@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expstore"
 	"repro/internal/journal"
 )
 
@@ -102,20 +103,6 @@ func TestMemorySweepJournaledSpecMismatch(t *testing.T) {
 	}
 }
 
-func TestMemorySweepJournaledRejectsUnhashableKnobs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	opts := ckptSweepOpts()
-	opts.Configure = func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy) {}
-	if _, err := MemorySweepJournaled(opts, path, false); err == nil {
-		t.Error("journaled sweep with Configure succeeded")
-	}
-	opts = ckptSweepOpts()
-	opts.Deadline = 1
-	if _, err := MemorySweepJournaled(opts, path, false); err == nil {
-		t.Error("journaled sweep with Deadline succeeded")
-	}
-}
-
 func TestTable41JournaledResume(t *testing.T) {
 	base := Table41Options{Refs: 150_000, Reps: 2, Seed: 5, SizesMB: []int{5}, Parallel: 4}
 	baseline := Table41(base)
@@ -151,5 +138,51 @@ func TestTable41JournaledResume(t *testing.T) {
 	sw.Seed = 5
 	if _, err := MemorySweepJournaled(sw, path, true); err == nil {
 		t.Fatal("sweep resumed from a table 4.1 journal")
+	}
+}
+
+// TestJournalSpecKeysStable pins the journal header spec keys of every
+// checkpointable driver for one fixed option set. A resumed run refuses a
+// journal whose key differs, so a key that drifts strands every
+// checkpoint journal written before the change.
+func TestJournalSpecKeysStable(t *testing.T) {
+	o := MemorySweepOptions{
+		SizesMB:    []int{5, 6},
+		Policies:   []RefPolicy{RefMISS, RefNONE},
+		Workloads:  []core.WorkloadName{core.SLC},
+		Refs:       200_000,
+		Seed:       11,
+		Reps:       2,
+		AuditEvery: 50_000,
+	}
+	o.fill()
+	t41 := Table41Options{Refs: 150_000, Reps: 2, Seed: 5, SizesMB: []int{5}}
+	t41.fill()
+	so := SampleOptions{IntervalLen: 10_000, K: 4, Warmup: 20_000, Prefix: 30_000}
+	so.fill(o.Refs)
+	so41 := SampleOptions{IntervalLen: 10_000, K: 4, Warmup: 20_000, Prefix: 30_000}
+	so41.fill(t41.Refs)
+
+	for _, c := range []struct {
+		name string
+		key  func() (expstore.Key, error)
+		want expstore.Key
+	}{
+		{"sweepSpecKey", func() (expstore.Key, error) { return sweepSpecKey(o) },
+			"9cd0d9fd23991c9da1c18372687899897453a1f24d4a8303d03ea3913a77172d"},
+		{"table41SpecKey", func() (expstore.Key, error) { return table41SpecKey(t41) },
+			"c197a94a5b23351864c2fe2890dda7bd99dd3803ded34e7be1a64513647cdf31"},
+		{"sampledSweepSpecKey", func() (expstore.Key, error) { return sampledSweepSpecKey(o, so) },
+			"aed32e0bf81fc628ffbcbc738bc1e4f90d39bf36d8495f6734ad7800990693a5"},
+		{"sampledTable41SpecKey", func() (expstore.Key, error) { return sampledTable41SpecKey(t41, so41) },
+			"698b889385972417f802616c0f795666684b914503fc543b6b50541d7b5cb324"},
+	} {
+		got, err := c.key()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s = %s, want %s (journals written before this change would no longer resume)", c.name, got, c.want)
+		}
 	}
 }

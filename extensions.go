@@ -55,21 +55,27 @@ func CacheSweep(opts CacheSweepOptions) []CacheSweepRow {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	var rows []CacheSweepRow
+	p := plan{seed: opts.Seed, fixedSeed: true, parallel: 1}
 	for _, cb := range opts.CacheSizes {
-		base := map[RefPolicy]Result{}
 		for _, pol := range RefPolicies {
 			cfg := DefaultConfig()
 			cfg.CacheBytes = cb
 			cfg.MemoryBytes = core.MiB(opts.MemMB)
 			cfg.TotalRefs = opts.Refs
-			cfg.Seed = opts.Seed
 			cfg.Ref = pol
-			base[pol] = Run(cfg, SLC())
+			p.cells = append(p.cells, planCell{cfg, SLC()})
 		}
-		refIns := base[RefTRUE].Events.PageIns
+	}
+	res := p.results()
+	var rows []CacheSweepRow
+	for i, cb := range opts.CacheSizes {
+		byPol := map[RefPolicy]Result{}
+		for j, pol := range RefPolicies {
+			byPol[pol] = res[i*len(RefPolicies)+j]
+		}
+		refIns := byPol[RefTRUE].Events.PageIns
 		for _, pol := range RefPolicies {
-			r := base[pol]
+			r := byPol[pol]
 			row := CacheSweepRow{
 				CacheBytes: cb,
 				Policy:     pol,

@@ -239,19 +239,13 @@ func (s *Server) recoverJob(rec jobRecord) error {
 		}
 		_, _, err := s.memoize(ctx, key, rec.Kind, req, s.runJob(key, req))
 		return err
-	case rec.Kind == "sweep":
+	case rec.Kind == "sweep", rec.Kind == "sweep-sampled":
+		// The spec's Sample field picks the estimator, as on a live request.
 		var req client.SweepRequest
 		if err := json.Unmarshal(rec.Spec, &req); err != nil {
 			return err
 		}
 		_, _, err := s.memoize(ctx, key, rec.Kind, req, s.sweepJob(key, req))
-		return err
-	case rec.Kind == "sweep-sampled":
-		var req client.SweepRequest
-		if err := json.Unmarshal(rec.Spec, &req); err != nil {
-			return err
-		}
-		_, _, err := s.memoize(ctx, key, rec.Kind, req, s.sampledSweepJob(key, req))
 		return err
 	case strings.HasPrefix(rec.Kind, "tables/"):
 		id := strings.TrimPrefix(rec.Kind, "tables/")

@@ -288,7 +288,7 @@ func (s *Server) scrubLoop() {
 
 // jobFn computes one job's stored bytes; cache reports whether they may be
 // persisted.
-type jobFn func(ctx context.Context) (data []byte, cache bool, err error)
+type jobFn func() (data []byte, cache bool, err error)
 
 // memoize is the service's core loop: serve key from the store if
 // present; otherwise let exactly one request compute it (in-flight dedupe)
@@ -327,7 +327,7 @@ func (s *Server) memoize(ctx context.Context, key expstore.Key, kind string, spe
 				s.cfg.Logf("spurd: journaling %s job %.12s: %v", kind, key, jerr)
 			}
 		}
-		data, cache, err := fn(context.WithoutCancel(ctx))
+		data, cache, err := fn()
 		persisted := true
 		if err == nil && cache {
 			if perr := s.store.Put(key, data); perr != nil {
@@ -392,7 +392,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // runJob is the compute closure behind /v1/run, shared with job recovery.
 func (s *Server) runJob(key expstore.Key, req client.RunRequest) jobFn {
-	return func(ctx context.Context) ([]byte, bool, error) {
+	return func() ([]byte, bool, error) {
 		t0 := time.Now()
 		p, err := s.computeRun(req)
 		if err != nil {
@@ -484,11 +484,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.store.Has(key) && s.shedHeavy(w, kind) {
 		return
 	}
-	job := s.sweepJob(key, req)
-	if req.Sample {
-		job = s.sampledSweepJob(key, req)
-	}
-	data, cached, err := s.memoize(r.Context(), key, kind, keyReq, job)
+	data, cached, err := s.memoize(r.Context(), key, kind, keyReq, s.sweepJob(key, req))
 	if err != nil {
 		writeComputeError(w, err)
 		return
@@ -533,70 +529,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepJob is the compute closure behind /v1/sweep, shared with job
-// recovery.
+// sweepJob is the compute closure behind /v1/sweep, exact or sampled,
+// shared with job recovery.
 func (s *Server) sweepJob(key expstore.Key, req client.SweepRequest) jobFn {
-	return func(ctx context.Context) ([]byte, bool, error) {
+	return func() ([]byte, bool, error) {
 		t0 := time.Now()
-		rows, err := s.computeSweep(ctx, req)
+		opts, err := s.sweepOptions(req)
 		if err != nil {
 			return nil, false, err
 		}
-		s.cfg.Logf("spurd: sweep %s (%d rows) computed in %s", key[:12], len(rows), time.Since(t0).Round(time.Millisecond))
+		what, n := "sweep", 0
+		var rows any
+		if req.Sample {
+			so := spur.SampleOptions{Intervals: req.Intervals, IntervalLen: req.IntervalLen, Warmup: req.Warmup}
+			sampled, err := spur.MemorySweepSampled(opts, so)
+			if err != nil {
+				return nil, false, err
+			}
+			what, n, rows = "sampled sweep", len(sampled), sampled
+		} else {
+			exact := spur.MemorySweep(opts)
+			n, rows = len(exact), exact
+		}
+		s.cfg.Logf("spurd: %s %s (%d rows) computed in %s", what, key[:12], n, time.Since(t0).Round(time.Millisecond))
 		data, err := json.Marshal(rows)
 		return data, err == nil, err
 	}
 }
 
-// sampledSweepJob is the compute closure behind /v1/sweep with
-// sample=true, shared with job recovery.
-func (s *Server) sampledSweepJob(key expstore.Key, req client.SweepRequest) jobFn {
-	return func(ctx context.Context) ([]byte, bool, error) {
-		t0 := time.Now()
-		rows, err := s.computeSampledSweep(ctx, req)
-		if err != nil {
-			return nil, false, err
-		}
-		s.cfg.Logf("spurd: sampled sweep %s (%d rows) computed in %s", key[:12], len(rows), time.Since(t0).Round(time.Millisecond))
-		data, err := json.Marshal(rows)
-		return data, err == nil, err
-	}
-}
-
-func (s *Server) computeSampledSweep(ctx context.Context, req client.SweepRequest) ([]spur.SampledRow, error) {
-	opts := spur.MemorySweepOptions{
-		SizesMB:  req.SizesMB,
-		Refs:     req.Refs,
-		Seed:     req.Seed,
-		Reps:     req.Reps,
-		Parallel: s.cfg.Parallel,
-	}
-	for _, name := range req.Workloads {
-		opts.Workloads = append(opts.Workloads, core.WorkloadName(name))
-	}
-	for _, name := range req.Policies {
-		p, err := core.ParseRefPolicy(name)
-		if err != nil {
-			return nil, err
-		}
-		opts.Policies = append(opts.Policies, p)
-	}
-	so := spur.SampleOptions{
-		Intervals:   req.Intervals,
-		IntervalLen: req.IntervalLen,
-		Warmup:      req.Warmup,
-	}
-	rows, err := spur.MemorySweepSampled(opts, so)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-func (s *Server) computeSweep(ctx context.Context, req client.SweepRequest) ([]spur.MemorySweepRow, error) {
+// sweepOptions converts a normalized sweep request to the driver's options.
+func (s *Server) sweepOptions(req client.SweepRequest) (spur.MemorySweepOptions, error) {
 	opts := spur.MemorySweepOptions{
 		SizesMB:    req.SizesMB,
 		Refs:       req.Refs,
@@ -604,7 +566,6 @@ func (s *Server) computeSweep(ctx context.Context, req client.SweepRequest) ([]s
 		Reps:       req.Reps,
 		AuditEvery: req.AuditEvery,
 		Parallel:   s.cfg.Parallel,
-		Context:    ctx,
 	}
 	for _, name := range req.Workloads {
 		opts.Workloads = append(opts.Workloads, core.WorkloadName(name))
@@ -612,15 +573,11 @@ func (s *Server) computeSweep(ctx context.Context, req client.SweepRequest) ([]s
 	for _, name := range req.Policies {
 		p, err := core.ParseRefPolicy(name)
 		if err != nil {
-			return nil, err
+			return opts, err
 		}
 		opts.Policies = append(opts.Policies, p)
 	}
-	rows := spur.MemorySweep(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return opts, nil
 }
 
 // --- /v1/tables/{id} ---------------------------------------------------------
@@ -696,19 +653,16 @@ func parseTablesQuery(r *http.Request) (client.TablesQuery, error) {
 // tablesJob is the compute closure behind /v1/tables/{id}, shared with job
 // recovery.
 func (s *Server) tablesJob(key expstore.Key, id string, q client.TablesQuery) jobFn {
-	return func(ctx context.Context) ([]byte, bool, error) {
+	return func() ([]byte, bool, error) {
 		t0 := time.Now()
-		docs, err := s.computeTables(ctx, id, q)
-		if err != nil {
-			return nil, false, err
-		}
+		docs := s.computeTables(id, q)
 		s.cfg.Logf("spurd: tables/%s %s computed in %s", id, key[:12], time.Since(t0).Round(time.Millisecond))
 		data, err := json.Marshal(docs)
 		return data, err == nil, err
 	}
 }
 
-func (s *Server) computeTables(ctx context.Context, id string, q client.TablesQuery) ([]report.Doc, error) {
+func (s *Server) computeTables(id string, q client.TablesQuery) []report.Doc {
 	var docs []report.Doc
 	add := func(d report.Doc) { docs = append(docs, d) }
 	switch id {
@@ -735,8 +689,7 @@ func (s *Server) computeTables(ctx context.Context, id string, q client.TablesQu
 		add(spur.RenderTable35(spur.Table35(q.Seed), q.Paper).Doc())
 	case "4.1":
 		rows := spur.Table41(spur.Table41Options{
-			Refs: q.Refs, Reps: q.Reps, Seed: q.Seed,
-			Parallel: s.cfg.Parallel, Context: ctx,
+			Refs: q.Refs, Reps: q.Reps, Seed: q.Seed, Parallel: s.cfg.Parallel,
 		})
 		add(spur.RenderTable41(rows, q.Paper).Doc())
 	case "ext":
@@ -744,10 +697,7 @@ func (s *Server) computeTables(ctx context.Context, id string, q client.TablesQu
 		rows := spur.Table33(spur.Table33Options{Refs: q.Refs, Seed: q.Seed, SizesMB: []int{5}})
 		add(spur.RenderFaultHandlerSweep(spur.FaultHandlerSweep(rows[0].Events)).Doc())
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return docs, nil
+	return docs
 }
 
 // --- /healthz ----------------------------------------------------------------

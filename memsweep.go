@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -18,8 +16,8 @@ type SweepRep struct {
 	Seed   uint64
 	Result Result
 	// Failure is non-nil when this repetition was quarantined: its run
-	// crashed, breached an invariant, or overran its deadline. Result then
-	// holds whatever completed before the failure.
+	// crashed or breached an invariant. Result then holds whatever
+	// completed before the failure.
 	Failure *RunFailure
 }
 
@@ -83,23 +81,14 @@ type MemorySweepOptions struct {
 
 	// Hardening. AuditEvery audits machine invariants every N references
 	// of every cell (0 = final audit only); ArtifactDir receives a JSON
-	// repro bundle per quarantined run; Deadline bounds each run's
-	// wall-clock time (zero = unbounded).
+	// repro bundle per quarantined run.
 	AuditEvery  int64
 	ArtifactDir string
-	Deadline    time.Duration
 
-	// Configure, when set, can adjust each cell's config before it runs
-	// (e.g. schedule fault injection for specific cells in chaos drills).
-	// It runs concurrently across cells and must not mutate shared state.
-	Configure func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy)
-
-	// Checkpoint hooks, installed by MemorySweepJournaled: repetitions
-	// replayed from a journal to pre-seed, the already-done predicate, and
-	// the per-completion record hook (called concurrently across workers).
-	preseed  []ckptEntry
-	skipDone func(cell, rep int) bool
-	onRep    func(cell, rep int, r SweepRep)
+	// configure, when set, adjusts each cell's config before it runs; the
+	// package's tests use it to schedule fault injection for specific
+	// cells. It is not part of the hashable spec.
+	configure func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy)
 }
 
 func (o *MemorySweepOptions) fill() {
@@ -133,86 +122,41 @@ func (o *MemorySweepOptions) fill() {
 // cell, executed in a deterministically shuffled order (randomized
 // experiment design), each repetition on its own derived seed. Runs are
 // dispatched Parallel at a time through the bounded engine; every run stays
-// under the hardened runner, so a run that crashes, breaches an invariant,
-// or overruns its deadline is quarantined — its repetition carries the
+// under the hardened runner, so a run that crashes or breaches an
+// invariant is quarantined — its repetition carries the
 // RunFailure (and repro bundle, if ArtifactDir is set) — while all sibling
 // runs complete normally.
-func MemorySweep(opts MemorySweepOptions) []MemorySweepRow {
+func MemorySweep(opts MemorySweepOptions) []MemorySweepRow { return runSweep(opts, nil) }
+
+// runSweep is MemorySweep with an optional checkpoint sink.
+func runSweep(opts MemorySweepOptions, sink *ckptSink) []MemorySweepRow {
 	opts.fill()
-	runOpts := RunOptions{
-		AuditEvery:  opts.AuditEvery,
-		Deadline:    opts.Deadline,
-		ArtifactDir: opts.ArtifactDir,
-	}
-
 	cells := sweepCells(opts)
-	rows := make([]MemorySweepRow, len(cells))
+	p := plan{
+		cells: make([]planCell, len(cells)), reps: opts.Reps, seed: opts.Seed,
+		run:      RunOptions{AuditEvery: opts.AuditEvery, ArtifactDir: opts.ArtifactDir},
+		parallel: opts.Parallel, progress: opts.Progress, ctx: opts.Context, sink: sink,
+	}
 	for i, c := range cells {
-		rows[i] = MemorySweepRow{
-			Workload: c.wl, MemMB: c.mb, Policy: c.pol,
-			Reps: make([]SweepRep, opts.Reps),
-		}
-	}
-	// Repetitions replayed from a checkpoint journal land in their slots
-	// before dispatch; skipDone keeps the engine from recomputing them.
-	for _, e := range opts.preseed {
-		rows[e.Cell].Reps[e.Rep] = SweepRep{Seed: e.Seed, Result: e.Result, Failure: e.Failure}
-	}
-
-	// Randomized experiment design: the execution order of the (cell, rep)
-	// runs is shuffled deterministically per seed. Result slots are indexed
-	// by coordinates, so the output never depends on this order — only the
-	// interleaving of resource pressure does, which is what the paper's
-	// design randomizes against.
-	type job struct{ cell, rep int }
-	jobs := make([]job, 0, len(cells)*opts.Reps)
-	for ci := range cells {
-		for rep := 0; rep < opts.Reps; rep++ {
-			jobs = append(jobs, job{ci, rep})
-		}
-	}
-	stats.Shuffle(jobs, opts.Seed*0x9e3779b9+17)
-
-	popts := parallel.Options{
-		Workers:  opts.Parallel,
-		Context:  opts.Context,
-		Progress: opts.Progress,
-	}
-	if opts.skipDone != nil {
-		popts.Skip = func(i int) bool { return opts.skipDone(jobs[i].cell, jobs[i].rep) }
-	}
-	// A cancelled context leaves the unvisited cells zero-valued; callers
-	// that pass a context observe it themselves, so the error adds nothing.
-	_ = parallel.ForEach(len(jobs), popts, func(i int) {
-		j := jobs[i]
-		c := cells[j.cell]
 		cfg := DefaultConfig()
 		cfg.MemoryBytes = core.MiB(c.mb)
 		cfg.TotalRefs = opts.Refs
-		cfg.Seed = parallel.DeriveSeed(opts.Seed, uint64(j.cell), uint64(j.rep))
 		cfg.Ref = c.pol
-		if opts.Configure != nil {
-			opts.Configure(&cfg, c.wl, c.mb, c.pol)
+		if opts.configure != nil {
+			opts.configure(&cfg, c.wl, c.mb, c.pol)
 		}
-		spec := SLC()
-		if c.wl == core.Workload1 {
-			spec = Workload1()
-		}
-		res, fail := RunHardened(cfg, spec, runOpts)
-		// Each job owns its (cell, rep) slot; no two jobs share memory.
-		sr := SweepRep{Seed: cfg.Seed, Result: res, Failure: fail}
-		rows[j.cell].Reps[j.rep] = sr
-		if opts.onRep != nil {
-			opts.onRep(j.cell, j.rep, sr)
-		}
-	})
+		p.cells[i] = planCell{cfg, workloadSpec(c.wl)}
+	}
 
-	for i := range rows {
-		r := &rows[i]
-		r.Result = r.Reps[0].Result
-		r.Failure = r.Reps[0].Failure
+	rows := make([]MemorySweepRow, len(cells))
+	for i, reps := range p.execute() {
+		c := cells[i]
+		r := MemorySweepRow{
+			Workload: c.wl, MemMB: c.mb, Policy: c.pol,
+			Result: reps[0].Result, Failure: reps[0].Failure, Reps: reps,
+		}
 		var pageIns, elapsed, refFaults, flushes []float64
-		for _, rep := range r.Reps {
+		for _, rep := range reps {
 			if rep.Failure != nil {
 				continue
 			}
@@ -226,6 +170,7 @@ func MemorySweep(opts MemorySweepOptions) []MemorySweepRow {
 		r.Elapsed = stats.Summarize(elapsed)
 		r.RefFaults = stats.Summarize(refFaults)
 		r.Flushes = stats.Summarize(flushes)
+		rows[i] = r
 	}
 	return rows
 }

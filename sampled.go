@@ -146,30 +146,14 @@ func sampledGrid(workloads []core.WorkloadName, sizesMB []int, pols []RefPolicy,
 		}
 	}
 
+	variants := sampledVariants(sizesMB, pols)
 	groups := len(workloads) * reps
 	errs := make([]error, groups)
 	_ = parallel.ForEach(groups, parallel.Options{Workers: par, Progress: progress}, func(g int) {
 		wi, rep := g/reps, g%reps
 		wl := workloads[wi]
-		spec := SLC()
-		if wl == core.Workload1 {
-			spec = Workload1()
-		}
 		streamSeed := parallel.DeriveSeed(seed, sampledSeedSalt, uint64(wi), uint64(rep))
-
-		variants := make([]sample.Variant, 0, nv)
-		for _, mb := range sizesMB {
-			for _, pol := range pols {
-				cfg := DefaultConfig()
-				cfg.MemoryBytes = core.MiB(mb)
-				cfg.Ref = pol
-				variants = append(variants, sample.Variant{
-					Name: fmt.Sprintf("%dMB/%s", mb, pol),
-					Cfg:  cfg,
-				})
-			}
-		}
-
+		spec := workloadSpec(wl)
 		profile := sample.BuildProfile(spec, streamSeed, refs, so.IntervalLen)
 		plan := sample.BuildPlan(profile, so.K, streamSeed, so.Prefix)
 		mopts := sample.MeasureOptions{
@@ -186,8 +170,7 @@ func sampledGrid(workloads []core.WorkloadName, sizesMB []int, pols []RefPolicy,
 			return
 		}
 		for vi := range variants {
-			est := plan.Estimate(measured[vi], variants[vi].Cfg.Timing, so.Warmup)
-			rows[wi*nv+vi].Reps[rep] = est
+			rows[wi*nv+vi].Reps[rep] = plan.Estimate(measured[vi], variants[vi].Cfg.Timing, so.Warmup)
 		}
 	})
 	for _, err := range errs {
@@ -200,6 +183,21 @@ func sampledGrid(workloads []core.WorkloadName, sizesMB []int, pols []RefPolicy,
 		rows[i].Events = sample.EventsFromEstimate(rows[i].Estimate)
 	}
 	return rows, nil
+}
+
+// sampledVariants lists the (size, policy) machine variants a sampled
+// group measures on its shared stream, in (size, policy) order.
+func sampledVariants(sizesMB []int, pols []RefPolicy) []sample.Variant {
+	var variants []sample.Variant
+	for _, mb := range sizesMB {
+		for _, pol := range pols {
+			cfg := DefaultConfig()
+			cfg.MemoryBytes = core.MiB(mb)
+			cfg.Ref = pol
+			variants = append(variants, sample.Variant{Name: fmt.Sprintf("%dMB/%s", mb, pol), Cfg: cfg})
+		}
+	}
+	return variants
 }
 
 // sampledSweepSpecKey is the canonical spec hash of a sampled sweep. Its
@@ -247,9 +245,6 @@ func sampledTable41SpecKey(o Table41Options, s SampleOptions) (expstore.Key, err
 // Scheduling knobs (Parallel, Progress) never change the numbers; a sampled
 // sweep is byte-stable for a given (options, sample options) pair.
 func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow, error) {
-	if opts.Configure != nil {
-		return nil, fmt.Errorf("spur: sampled sweeps cannot use Configure: the hook is not part of the hashable spec")
-	}
 	opts.fill()
 	so.fill(opts.Refs)
 	key, err := sampledSweepSpecKey(opts, so)
@@ -452,45 +447,30 @@ func ValidateSampling(opts ValidateOptions) (ValidationReport, error) {
 		IntervalLen: so.IntervalLen, K: so.K, Warmup: so.Warmup, Prefix: so.Prefix,
 	}
 
+	// The sampled pass is the sampled sweep's own group runner, one
+	// repetition per workload, serially; it is never journaled.
+	so.JournalDir = ""
+	sampled, err := sampledGrid(opts.Workloads, opts.SizesMB, opts.Policies,
+		opts.Refs, opts.Seed, 1, so, 1, nil, "", "")
+	if err != nil {
+		return rep, err
+	}
+	variants := sampledVariants(opts.SizesMB, opts.Policies)
+	// The exact reference: one "interval" spanning the whole stream.
+	fullPlan := sample.Plan{
+		TotalRefs: opts.Refs, IntervalLen: opts.Refs, K: 1,
+		Chosen: []sample.Chosen{{Index: 0, Weight: 1}},
+	}
 	for wi, wl := range opts.Workloads {
-		spec := SLC()
-		if wl == core.Workload1 {
-			spec = Workload1()
-		}
 		streamSeed := parallel.DeriveSeed(opts.Seed, sampledSeedSalt, uint64(wi), 0)
-
-		var variants []sample.Variant
-		for _, mb := range opts.SizesMB {
-			for _, pol := range opts.Policies {
-				cfg := DefaultConfig()
-				cfg.MemoryBytes = core.MiB(mb)
-				cfg.Ref = pol
-				variants = append(variants, sample.Variant{
-					Name: fmt.Sprintf("%dMB/%s", mb, pol),
-					Cfg:  cfg,
-				})
-			}
-		}
-
-		profile := sample.BuildProfile(spec, streamSeed, opts.Refs, so.IntervalLen)
-		plan := sample.BuildPlan(profile, so.K, streamSeed, so.Prefix)
-		rep.SimulatedRefs = plan.SimulatedRefs(so.Warmup)
-		sampled, err := sample.Measure(spec, streamSeed, plan, variants, sample.MeasureOptions{Warmup: so.Warmup})
-		if err != nil {
-			return rep, err
-		}
-		// The exact reference: one "interval" spanning the whole stream.
-		fullPlan := sample.Plan{
-			TotalRefs: opts.Refs, IntervalLen: opts.Refs, K: 1,
-			Chosen: []sample.Chosen{{Index: 0, Weight: 1}},
-		}
-		full, err := sample.Measure(spec, streamSeed, fullPlan, variants, sample.MeasureOptions{})
+		full, err := sample.Measure(workloadSpec(wl), streamSeed, fullPlan, variants, sample.MeasureOptions{})
 		if err != nil {
 			return rep, err
 		}
 
 		for vi := range variants {
-			estS := plan.Estimate(sampled[vi], variants[vi].Cfg.Timing, so.Warmup)
+			estS := sampled[wi*len(variants)+vi].Estimate
+			rep.SimulatedRefs = estS.SimulatedRefs
 			estF := fullPlan.Estimate(full[vi], variants[vi].Cfg.Timing, 0)
 			mb, pol := variants[vi].Cfg.MemoryBytes>>20, variants[vi].Cfg.Ref.String()
 			for _, name := range sample.MetricNames {

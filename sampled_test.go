@@ -64,17 +64,6 @@ func TestMemorySweepSampledDeterministic(t *testing.T) {
 	}
 }
 
-// TestMemorySweepSampledRejectsConfigure: the per-cell hook is not part of
-// the hashable spec, so the sampled driver must refuse it rather than cache
-// under a key that does not describe the computation.
-func TestMemorySweepSampledRejectsConfigure(t *testing.T) {
-	o, s := sampledSweepOpts(1)
-	o.Configure = func(*Config, core.WorkloadName, int, RefPolicy) {}
-	if _, err := MemorySweepSampled(o, s); err == nil {
-		t.Fatal("sampled sweep accepted a Configure hook")
-	}
-}
-
 // TestTable41SampledRenders drives the sampled Table 4.1 end to end and
 // checks the rendered artifact's shape: the full grid, error-bar columns,
 // and MISS-relative ratios anchored at 100%.

@@ -24,7 +24,7 @@ func sweepOptsForDeterminism(par int, dir string) MemorySweepOptions {
 		Reps:        2,
 		Parallel:    par,
 		ArtifactDir: dir,
-		Configure: func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy) {
+		configure: func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy) {
 			// Quarantine every repetition of two cells: the 5 MB REF and
 			// NONE cells fail their page-in I/O permanently.
 			if memMB == 5 && pol != RefMISS {

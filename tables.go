@@ -79,22 +79,21 @@ type Table33Row struct {
 // MISS reference policy) — the counts the Section 3.2 models consume.
 func Table33(opts Table33Options) []Table33Row {
 	opts.fill()
-	type wl struct {
-		name core.WorkloadName
-		spec Spec
-	}
+	p := plan{seed: opts.Seed, fixedSeed: true, parallel: 1}
 	var rows []Table33Row
-	for _, w := range []wl{{core.SLC, SLC()}, {core.Workload1, Workload1()}} {
+	for _, wl := range []core.WorkloadName{core.SLC, core.Workload1} {
 		for _, mb := range opts.SizesMB {
 			cfg := DefaultConfig()
 			cfg.MemoryBytes = core.MiB(mb)
 			cfg.TotalRefs = opts.Refs
-			cfg.Seed = opts.Seed
 			cfg.Dirty = DirtySPUR
 			cfg.Ref = RefMISS
-			res := Run(cfg, w.spec)
-			rows = append(rows, Table33Row{Workload: w.name, MemMB: mb, Events: res.Events})
+			p.cells = append(p.cells, planCell{cfg, workloadSpec(wl)})
+			rows = append(rows, Table33Row{Workload: wl, MemMB: mb})
 		}
+	}
+	for i, res := range p.results() {
+		rows[i].Events = res.Events
 	}
 	return rows
 }
@@ -192,15 +191,18 @@ func Table35Scaled(seed uint64, refScale float64) []Table35Row {
 	if refScale <= 0 {
 		refScale = 1
 	}
-	var rows []Table35Row
-	for _, h := range workload.SpriteHosts() {
+	hosts := workload.SpriteHosts()
+	p := plan{seed: seed, fixedSeed: true, parallel: 1}
+	for _, h := range hosts {
 		cfg := DefaultConfig()
 		cfg.MemoryBytes = core.MiB(h.MemMB)
 		cfg.TotalRefs = int64(float64(h.Refs) * refScale)
-		cfg.Seed = seed
-		res := Run(cfg, h.Spec())
+		p.cells = append(p.cells, planCell{cfg, h.Spec()})
+	}
+	var rows []Table35Row
+	for i, res := range p.results() {
 		st := res.Pager
-		row := Table35Row{Host: h, PageIns: st.PageIns, PotMod: st.WritablePageOuts, NotMod: st.CleanWritablePageOuts}
+		row := Table35Row{Host: hosts[i], PageIns: st.PageIns, PotMod: st.WritablePageOuts, NotMod: st.CleanWritablePageOuts}
 		if row.PotMod > 0 {
 			row.PctNotMod = 100 * float64(row.NotMod) / float64(row.PotMod)
 		}
