@@ -345,3 +345,27 @@ func BenchmarkMemorySweepSampledCell(b *testing.B) {
 		b.ReportMetric(float64(rows[0].Estimate.SimulatedRefs), "simrefs")
 	}
 }
+
+// BenchmarkMemorySweepSampledFanout runs one workload's sampled grid — 4
+// memory sizes × 3 reference-bit policies, the 12 variants the measuring
+// pass drives from one generated stream — serially, at the benchmark
+// workload's sampling design. ns/variant-ref divides the time by the
+// references every variant advances through (projected refs × 12), the
+// unit the fan-out's cost is quoted in.
+func BenchmarkMemorySweepSampledFanout(b *testing.B) {
+	const refs = 4_000_000
+	sizes := []int{4, 5, 12, 16}
+	for i := 0; i < b.N; i++ {
+		if _, err := MemorySweepSampled(MemorySweepOptions{
+			Workloads: []core.WorkloadName{core.SLC},
+			SizesMB:   sizes,
+			Refs:      refs,
+			Seed:      uint64(i + 1),
+			Parallel:  1,
+		}, SampleOptions{IntervalLen: 50_000, K: 6, Warmup: 50_000, Prefix: 100_000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	variantRefs := float64(b.N) * refs * float64(len(sizes)*len(RefPolicies))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/variantRefs, "ns/variant-ref")
+}

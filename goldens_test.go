@@ -72,6 +72,21 @@ func goldenCases() []struct {
 			})
 			return RenderCacheSweep(rows).String()
 		}},
+		// The sampled engine's estimates: profile, k-means, exact prefix,
+		// warmed representatives and tail warming over both workloads. At
+		// 1.5M references 4 MB pages hard enough that the policies differ.
+		{"sampledsweep", func() string {
+			rows, err := MemorySweepSampled(MemorySweepOptions{
+				Workloads: []core.WorkloadName{core.SLC, core.Workload1},
+				SizesMB:   []int{4, 8},
+				Refs:      1_500_000,
+				Seed:      1,
+			}, SampleOptions{IntervalLen: 50_000, K: 4, Warmup: 25_000, Prefix: 100_000})
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			return SampledSweepCSV(rows)
+		}},
 		{"faulthandlersweep", func() string {
 			rows := Table33(Table33Options{Refs: goldenRefs, Seed: 1, SizesMB: []int{5}})
 			return RenderFaultHandlerSweep(FaultHandlerSweep(rows[0].Events)).String()

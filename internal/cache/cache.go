@@ -317,7 +317,7 @@ func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pag
 		c.Stats.Evictions++
 		if v.WriteBack {
 			c.Stats.WriteBacks++
-			c.issue(coherence.BusWriteBack, old)
+			c.IssueBus(coherence.BusWriteBack, old)
 		}
 	}
 	c.tags[i] = b
@@ -344,7 +344,7 @@ func (c *Cache) invalidateFrame(i uint64) bool {
 	wb := metaNeedsWriteBack(c.meta[i])
 	if wb {
 		c.Stats.WriteBacks++
-		c.issue(coherence.BusWriteBack, c.tags[i])
+		c.IssueBus(coherence.BusWriteBack, c.tags[i])
 	}
 	c.meta[i] = 0
 	return wb
@@ -429,18 +429,24 @@ func (c *Cache) ResidentBlocks(p addr.GVPN) (resident, clean int) {
 	return resident, clean
 }
 
-// issue broadcasts a bus transaction if a bus is attached.
-func (c *Cache) issue(op coherence.BusOp, b addr.BlockAddr) (supplied, invalidated bool) {
+// IssueBus broadcasts a bus transaction if a bus is attached: read-for-
+// ownership on write misses and invalidations on shared write hits for the
+// access engine, write-backs for the cache itself. Every miss and every
+// write-back passes here and a single-cache machine has no bus, so the nil
+// check must inline into the caller; the broadcast is kept out of line in
+// snoopIssue so IssueBus stays within the compiler's inlining budget.
+func (c *Cache) IssueBus(op coherence.BusOp, b addr.BlockAddr) (supplied, invalidated bool) {
 	if c.bus == nil {
 		return false, false
 	}
-	return c.bus.Issue(c.port, op, b)
+	return c.snoopIssue(op, b)
 }
 
-// IssueBus exposes bus transactions for the access engine (read-for-
-// ownership on write misses, invalidations on shared write hits).
-func (c *Cache) IssueBus(op coherence.BusOp, b addr.BlockAddr) (supplied, invalidated bool) {
-	return c.issue(op, b)
+// snoopIssue broadcasts on the attached bus, out of line (see IssueBus).
+//
+//go:noinline
+func (c *Cache) snoopIssue(op coherence.BusOp, b addr.BlockAddr) (supplied, invalidated bool) {
+	return c.bus.Issue(c.port, op, b)
 }
 
 // Snoop implements coherence.Snooper: the cache watches other controllers'

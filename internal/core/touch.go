@@ -44,21 +44,39 @@ func (e *Engine) Touch(r trace.Rec) {
 	e.touchMiss(r.Op, b, r.Addr.Page())
 }
 
-// TouchBatch applies Touch to a buffer of references.
+// TouchBatch applies Touch to a buffer of references. It is the loop the
+// sampled measuring pass spends most of its time in, so it is shaped like
+// AccessBatchAt: the probe inlines, read hits — most of a warming stream —
+// stay in the loop, and only write hits and misses call out. Touch stays
+// the per-record API and the oracle FuzzTouchBatch holds this loop to.
 func (e *Engine) TouchBatch(recs []trace.Rec) {
 	for i := range recs {
-		e.Touch(recs[i])
+		r := recs[i]
+		b := r.Addr.Block()
+		if l, hit := e.Cache.Probe(b); hit {
+			if r.Op == trace.OpWrite {
+				e.touchWriteHit(l, r.Addr.Page(), b)
+			}
+			continue
+		}
+		e.touchMiss(r.Op, b, r.Addr.Page())
+	}
+}
+
+// touchPTEBlock makes page p's PTE block resident, fetching it as in-cache
+// translation's TranslateMiss would on a miss.
+func (e *Engine) touchPTEBlock(p addr.GVPN) {
+	pteBlock := e.X.Table().PTEAddr(p).Block()
+	if _, hit := e.Cache.Probe(pteBlock); !hit {
+		e.Cache.IssueBus(coherence.BusRead, pteBlock)
+		e.Cache.Fill(pteBlock, coherence.UnOwned, pte.ProtKernel, false, true, false)
 	}
 }
 
 // touchMiss mirrors miss: warm the PTE block in, fault the page resident if
 // needed, apply the reference-bit and dirty-bit policies, fill the block.
 func (e *Engine) touchMiss(op trace.Op, b addr.BlockAddr, p addr.GVPN) {
-	pteBlock := e.X.Table().PTEAddr(p).Block()
-	if _, hit := e.Cache.Probe(pteBlock); !hit {
-		e.Cache.IssueBus(coherence.BusRead, pteBlock)
-		e.Cache.Fill(pteBlock, coherence.UnOwned, pte.ProtKernel, false, true, false)
-	}
+	e.touchPTEBlock(p)
 	entry := e.X.Table().Lookup(p)
 
 	if !entry.Valid() {
@@ -108,8 +126,13 @@ func (e *Engine) touchWriteHit(l cache.LineRef, p addr.GVPN, b addr.BlockAddr) {
 			e.necessaryFault(p)
 		}
 	case DirtyWRITE:
-		if !l.BlockDirty() && !e.X.Table().Lookup(p).Dirty() {
-			e.necessaryFault(p)
+		// The hardware check on the first write to a clean block reads
+		// the PTE through the cache, fetching its block (CheckPTE).
+		if !l.BlockDirty() {
+			e.touchPTEBlock(p)
+			if !e.X.Table().Lookup(p).Dirty() {
+				e.necessaryFault(p)
+			}
 		}
 	case DirtyPROT:
 		if !l.Prot().AllowsWrite() && !e.X.Table().Lookup(p).Prot().AllowsWrite() {

@@ -23,9 +23,20 @@ var HotPathAnalyzer = &Analyzer{
 // hotPathFuncs names the hot-path methods per package as "Receiver.Method".
 // These are the functions run for every memory reference (or every miss):
 // the workload generator's step and decision functions, the cache
-// lookup/fill/flush surface, the PTE store accessors, and the in-cache
-// translation unit.
+// lookup/fill/flush surface, the PTE store accessors, the in-cache
+// translation unit, and the access engine's per-reference methods — full
+// simulation and the functional warming the sampled engine runs between
+// representative intervals.
 var hotPathFuncs = map[string]map[string]bool{
+	"repro/internal/core": {
+		"Engine.Access":        true,
+		"Engine.AccessBatchAt": true,
+		"Engine.miss":          true,
+		"Engine.writeHit":      true,
+		"Engine.TouchBatch":    true,
+		"Engine.touchMiss":     true,
+		"Engine.touchWriteHit": true,
+	},
 	"repro/internal/cache": {
 		"Cache.Probe":      true,
 		"Cache.Fill":       true,

@@ -85,8 +85,11 @@ func sigBucket(p uint64) int {
 	return int(p & (pageBuckets - 1))
 }
 
-// profileBatch is the generation buffer size; one page of records, matching
-// the machine's batched run path.
+// profileBatch is the profiling pass's generation buffer size: 4,096
+// records (64 KiB at 16 bytes a record), matching the machine's batched run
+// path. Each batch here is read once, by the signature update, so its size
+// only amortizes the generator call; the measuring pass, which reads each
+// batch once per variant, sizes its own (measureBatch).
 const profileBatch = 4096
 
 // envCounter observes region lifecycle traffic on the way to the profiling

@@ -284,6 +284,19 @@ func replayJournal(entries [][]byte, want planRec, nv, nc int) (resumeState, err
 	return rs, nil
 }
 
+// measureBatch is the measuring pass's generation buffer size in records.
+// Every batch is read once per variant — 12 machines for a policy × memory
+// grid — so the buffer must stay in L1 across the whole fan-out instead of
+// being re-read from L2 by each machine in turn. 256 records are 4 KiB,
+// leaving nearly all of a 32–48 KiB L1d to the cache tags, line metadata
+// and PTE chunks the machines touch. On a 2-vCPU Xeon (48 KiB L1d),
+// BenchmarkMemorySweepSampledFanout's median ns per variant-reference was
+// 37.9 at 256 records, 38.0 at 128, 39.8 at 512, 41.3 at 1,024, 47.5 at
+// 2,048 and 48.9 at 4,096 (64 KiB). The size only moves batch boundaries,
+// never what a machine sees, so the estimates are byte-identical at any
+// value.
+const measureBatch = 256
+
 // Measure runs the measuring pass: one generated stream drives every
 // variant machine through warmup plus each representative interval, and the
 // per-interval metric deltas come back per variant. Between intervals the
@@ -415,12 +428,12 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 		genSim
 	)
 	var pos int64
-	buf := make([]trace.Rec, profileBatch)
+	buf := make([]trace.Rec, measureBatch)
 	gen := func(target int64, mode int) error {
 		for pos < target {
 			n := target - pos
-			if n > profileBatch {
-				n = profileBatch
+			if n > measureBatch {
+				n = measureBatch
 			}
 			k := script.NextBatch(buf[:n])
 			if k == 0 {
